@@ -129,13 +129,38 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Total duration of all spans whose leaf name is `name`, in microseconds.
-    pub fn span_total_us(&self, name: &str) -> u64 {
+    /// Busy time of the spans whose leaf name is `name`: the sum of their
+    /// durations, in microseconds. Spans that ran concurrently on different
+    /// threads each count in full, so this can exceed the wall time.
+    pub fn span_busy_us(&self, name: &str) -> u64 {
         self.spans
             .iter()
             .filter(|s| s.name == name)
             .map(|s| s.duration_us)
             .sum()
+    }
+
+    /// Wall time of the spans whose leaf name is `name`: the length of the
+    /// union of their intervals, in microseconds. Time during which several
+    /// of them ran at once counts once, so this never exceeds
+    /// [`RunReport::span_busy_us`].
+    pub fn span_wall_us(&self, name: &str) -> u64 {
+        let mut intervals: Vec<(u64, u64)> = self
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| (s.start_us, s.start_us + s.duration_us))
+            .collect();
+        intervals.sort_unstable();
+        let (mut wall, mut covered_to) = (0, 0);
+        for (start, end) in intervals {
+            let start = start.max(covered_to);
+            if end > start {
+                wall += end - start;
+                covered_to = end;
+            }
+        }
+        wall
     }
 
     /// Value of the counter `name`, or 0 if it was never incremented.
@@ -653,7 +678,55 @@ mod tests {
         let paths: Vec<&str> = report.spans.iter().map(|s| s.path.as_str()).collect();
         // Spans are recorded at close time: innermost first.
         assert_eq!(paths, vec!["flow/route", "flow/rcm", "flow"]);
-        assert!(report.span_total_us("flow") >= report.span_total_us("route"));
+        assert!(report.span_busy_us("flow") >= report.span_busy_us("route"));
+        assert!(report.span_wall_us("flow") >= report.span_wall_us("route"));
+    }
+
+    #[test]
+    fn wall_time_is_the_union_of_span_intervals() {
+        let span = |start_us, duration_us| SpanRecord {
+            path: "work".into(),
+            name: "work".into(),
+            start_us,
+            duration_us,
+            tid: 0,
+        };
+        let mut report = Recorder::enabled().report("union");
+        // [0, 10) and [5, 15) overlap; [15, 20) abuts; [30, 35) stands
+        // apart; [31, 33) nests inside it.
+        report.spans = vec![
+            span(30, 5),
+            span(5, 10),
+            span(0, 10),
+            span(15, 5),
+            span(31, 2),
+        ];
+        assert_eq!(report.span_wall_us("work"), 25);
+        assert_eq!(report.span_busy_us("work"), 32);
+        assert_eq!(report.span_wall_us("absent"), 0);
+    }
+
+    #[test]
+    fn concurrent_spans_on_two_threads_count_once_in_wall_time() {
+        let rec = Recorder::enabled();
+        let both_open = std::sync::Barrier::new(2);
+        thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let _work = rec.span("work");
+                    both_open.wait();
+                    thread::sleep(std::time::Duration::from_millis(20));
+                });
+            }
+        });
+        let report = rec.report("concurrent");
+        let tids: std::collections::BTreeSet<u64> = report.spans.iter().map(|s| s.tid).collect();
+        assert_eq!(tids.len(), 2, "one span per thread");
+        let (wall, busy) = (report.span_wall_us("work"), report.span_busy_us("work"));
+        // Both spans were open through the same 20 ms of sleep, so the wall
+        // time falls short of the busy time by at least that overlap.
+        assert!(wall >= 20_000, "wall {wall} us");
+        assert!(wall + 19_000 <= busy, "wall {wall} us vs busy {busy} us");
     }
 
     #[test]

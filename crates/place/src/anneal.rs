@@ -14,7 +14,8 @@ pub struct AnnealOptions {
     pub seed: u64,
     /// Moves per temperature step, per block.
     pub moves_per_block: usize,
-    /// Stop when temperature falls below `t_min * cost/nets`.
+    /// Stop once the temperature falls to this absolute value. The
+    /// schedule starts at `2 * max(cost/nets, 1)`, twice the mean net HPWL.
     pub t_min_factor: f64,
 }
 
@@ -87,6 +88,71 @@ fn total_cost(problem: &PlacementProblem, position: &[Coord]) -> u64 {
     problem.nets.iter().map(|n| net_hpwl(n, position)).sum()
 }
 
+/// Rows of variable length in one flat array: row `i` is
+/// `items[start[i]..start[i + 1]]`.
+struct Csr {
+    start: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Csr {
+    fn new<'a>(rows: impl IntoIterator<Item = &'a [usize]>) -> Csr {
+        let mut csr = Csr {
+            start: vec![0],
+            items: Vec::new(),
+        };
+        for row in rows {
+            csr.items.extend_from_slice(row);
+            csr.start.push(csr.items.len());
+        }
+        csr
+    }
+
+    fn row(&self, i: usize) -> &[usize] {
+        &self.items[self.start[i]..self.start[i + 1]]
+    }
+}
+
+/// Probability of accepting a move that raises the cost by `delta > 0` at
+/// temperature `t`.
+fn accept_probability(delta: i64, t: f64) -> f64 {
+    (-(delta as f64) / t).exp().min(1.0)
+}
+
+/// Uphill deltas below this get their acceptance probability cached.
+const ACCEPT_CACHE: usize = 64;
+
+/// [`accept_probability`] at one temperature, cached for small deltas: each
+/// is computed on first use, so the values are exactly the uncached ones.
+struct AcceptCache {
+    t: f64,
+    p: [f64; ACCEPT_CACHE],
+}
+
+impl AcceptCache {
+    fn new(t: f64) -> AcceptCache {
+        AcceptCache {
+            t,
+            p: [f64::NAN; ACCEPT_CACHE],
+        }
+    }
+
+    fn get(&mut self, delta: i64) -> f64 {
+        match self.p.get_mut(delta as usize) {
+            Some(p) => {
+                if p.is_nan() {
+                    *p = accept_probability(delta, self.t);
+                }
+                *p
+            }
+            None => accept_probability(delta, self.t),
+        }
+    }
+}
+
+/// Occupancy marker of a site that holds no block.
+const EMPTY: usize = usize::MAX;
+
 /// Place a problem with simulated annealing. Deterministic in the seed.
 pub fn place(problem: &PlacementProblem, opts: &AnnealOptions) -> Placement {
     place_with(problem, opts, &Recorder::disabled())
@@ -146,39 +212,51 @@ pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Record
         }
     }
 
-    // Per-site occupancy for swap moves.
-    use std::collections::HashMap;
-    let mut occupant: HashMap<Coord, usize> =
-        position.iter().enumerate().map(|(b, &p)| (p, b)).collect();
-
-    // Nets touching each block, for incremental cost.
-    let mut nets_of: Vec<Vec<usize>> = vec![Vec::new(); problem.n_blocks()];
-    for (ni, net) in problem.nets.iter().enumerate() {
-        for &b in net {
-            nets_of[b].push(ni);
-        }
-    }
-
-    let mut cost = total_cost(problem, &position);
     if problem.nets.is_empty() || problem.n_blocks() < 2 {
+        let cost = total_cost(problem, &position);
         return Placement { position, cost };
     }
 
-    // Scratch for the move loop: the affected-net set is rebuilt every move,
-    // so deduplicate with a generation stamp per net instead of allocating,
-    // sorting and deduping a fresh Vec each time. Summation order over the
-    // set does not matter, so dropping the sort leaves results identical.
-    let mut affected: Vec<usize> = Vec::with_capacity(16);
-    let mut net_stamp: Vec<u64> = vec![0; problem.nets.len()];
-    let mut move_stamp: u64 = 0;
+    // Flat state for the move loop: site -> block occupancy indexed by
+    // `GridDim::index`, net -> pins and block -> nets as CSR rows, and each
+    // net's HPWL, so a move's "before" cost is a sum of cached values.
+    let grid = problem.grid.full;
+    let mut occupant = vec![EMPTY; grid.n_cells()];
+    for (b, &p) in position.iter().enumerate() {
+        occupant[grid.index(p)] = b;
+    }
+    let pins = Csr::new(problem.nets.iter().map(Vec::as_slice));
+    let mut nets_of: Vec<Vec<usize>> = vec![Vec::new(); problem.n_blocks()];
+    for (ni, net) in problem.nets.iter().enumerate() {
+        for &b in net {
+            // A block listed twice on one net still touches it once.
+            if nets_of[b].last() != Some(&ni) {
+                nets_of[b].push(ni);
+            }
+        }
+    }
+    let nets_of = Csr::new(nets_of.iter().map(Vec::as_slice));
+    let mut net_cost: Vec<u64> = (0..problem.nets.len())
+        .map(|n| net_hpwl(pins.row(n), &position))
+        .collect();
+    let mut cost: u64 = net_cost.iter().sum();
 
-    // Initial temperature: spread of random-move deltas.
+    // Scratch for the move loop: the nets a move touches and their costs
+    // after it. A swap lists a net that holds both blocks twice, which is
+    // harmless: swapping two pins of one net leaves its set of pin
+    // positions, and so its HPWL, unchanged, so each copy adds zero to the
+    // delta and writes back the value already cached.
+    let mut affected: Vec<usize> = Vec::with_capacity(16);
+    let mut after_cost: Vec<u64> = Vec::with_capacity(16);
+
+    // Initial temperature: twice the mean net cost, and at least 2.
     let mut t = (cost as f64 / problem.nets.len() as f64).max(1.0) * 2.0;
     let t_min = opts.t_min_factor;
     let moves_per_t = opts.moves_per_block * problem.n_blocks();
 
     while t > t_min {
         let mut accepted = 0usize;
+        let mut accept_p = AcceptCache::new(t);
         for _ in 0..moves_per_t {
             // Pick a block and a target site of the same kind.
             let b = rng.gen_range(0..problem.n_blocks());
@@ -186,56 +264,45 @@ pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Record
                 BlockKind::Logic => logic_sites[rng.gen_range(0..logic_sites.len())],
                 BlockKind::Io => io_sites[rng.gen_range(0..io_sites.len())],
             };
-            if target == position[b] {
+            let old = position[b];
+            if target == old {
                 continue;
             }
-            let other = occupant.get(&target).copied();
-            // Cost of affected nets before the move.
-            move_stamp += 1;
+            let target_site = grid.index(target);
+            let other = occupant[target_site];
             affected.clear();
-            for &n in &nets_of[b] {
-                if net_stamp[n] != move_stamp {
-                    net_stamp[n] = move_stamp;
-                    affected.push(n);
-                }
+            affected.extend_from_slice(nets_of.row(b));
+            if other != EMPTY {
+                affected.extend_from_slice(nets_of.row(other));
             }
-            if let Some(o) = other {
-                for &n in &nets_of[o] {
-                    if net_stamp[n] != move_stamp {
-                        net_stamp[n] = move_stamp;
-                        affected.push(n);
-                    }
-                }
-            }
-            let before: u64 = affected
-                .iter()
-                .map(|&n| net_hpwl(&problem.nets[n], &position))
-                .sum();
-            // Apply.
-            let old = position[b];
+            let before: u64 = affected.iter().map(|&n| net_cost[n]).sum();
+            // Apply, and cost the affected nets at the new positions.
             position[b] = target;
-            if let Some(o) = other {
-                position[o] = old;
+            if other != EMPTY {
+                position[other] = old;
             }
-            let after: u64 = affected
-                .iter()
-                .map(|&n| net_hpwl(&problem.nets[n], &position))
-                .sum();
+            after_cost.clear();
+            let mut after = 0u64;
+            for &n in &affected {
+                let c = net_hpwl(pins.row(n), &position);
+                after_cost.push(c);
+                after += c;
+            }
             let delta = after as i64 - before as i64;
-            let accept = delta <= 0 || rng.gen_bool((-(delta as f64) / t).exp().min(1.0));
+            let accept = delta <= 0 || rng.gen_bool(accept_p.get(delta));
             if accept {
-                occupant.remove(&old);
-                if let Some(o) = other {
-                    occupant.insert(old, o);
+                occupant[grid.index(old)] = other;
+                occupant[target_site] = b;
+                for (&n, &c) in affected.iter().zip(&after_cost) {
+                    net_cost[n] = c;
                 }
-                occupant.insert(target, b);
                 cost = (cost as i64 + delta) as u64;
                 accepted += 1;
             } else {
                 // Revert.
                 position[b] = old;
-                if let Some(o) = other {
-                    position[o] = target;
+                if other != EMPTY {
+                    position[other] = target;
                 }
             }
         }
@@ -356,6 +423,21 @@ mod tests {
             placement.cost,
             super::total_cost(&problem, &placement.position)
         );
+    }
+
+    #[test]
+    fn a_pin_listed_twice_changes_nothing() {
+        // A net's HPWL ignores a repeated pin, and a block still touches such
+        // a net once, so the anneal makes the same moves.
+        let arch = ArchSpec::paper_default();
+        let mapped = map_netlist(&library::alu(4), 6).unwrap();
+        let problem = PlacementProblem::from_mapped(&mapped, &arch).unwrap();
+        let mut doubled = problem.clone();
+        for net in &mut doubled.nets {
+            net.push(net[net.len() - 1]);
+        }
+        let opts = AnnealOptions::default();
+        assert_eq!(place(&doubled, &opts), place(&problem, &opts));
     }
 
     #[test]

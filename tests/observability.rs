@@ -51,12 +51,19 @@ fn full_flow_produces_spans_for_every_phase() {
             .expect("span exists");
         assert_eq!(span.path, format!("flow/{name}"), "span {name} mis-nested");
     }
-    // The flow span dominates each phase it contains.
-    let flow_us = report.span_total_us("flow");
+    // The flow span dominates each phase it contains in wall time. Busy
+    // time may exceed it: per-context phases run concurrently on
+    // compile-pool threads, and busy time sums every thread's span.
+    let flow_us = report.span_wall_us("flow");
     for phase in &PHASES[1..] {
+        let (wall, busy) = (report.span_wall_us(phase), report.span_busy_us(phase));
         assert!(
-            report.span_total_us(phase) <= flow_us,
-            "phase {phase} longer than the whole flow"
+            wall <= flow_us,
+            "phase {phase} wall {wall} us longer than the whole flow ({flow_us} us)"
+        );
+        assert!(
+            busy >= wall,
+            "phase {phase} busy {busy} us < wall {wall} us"
         );
     }
 }
