@@ -3,7 +3,6 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mcfpga::netlist::{workload, RandomNetlistParams};
 use mcfpga::prelude::*;
-use mcfpga::sim::Device;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -11,9 +10,9 @@ fn bench(c: &mut Criterion) {
     let arch = ArchSpec::paper_default();
     let w = workload(RandomNetlistParams::default(), 4, 0.05, 21);
     c.bench_function("compile_4ctx_workload", |b| {
-        b.iter(|| Device::compile(black_box(&arch), &w).unwrap())
+        b.iter(|| MultiDevice::compile_aligned(black_box(&arch), &w).unwrap())
     });
-    let mut dev = Device::compile(&arch, &w).unwrap();
+    let mut dev = MultiDevice::compile_aligned(&arch, &w).unwrap();
     let n_in = w[0].inputs().len();
     let mut rng = StdRng::seed_from_u64(5);
     c.bench_function("device_step_with_context_switches", |b| {

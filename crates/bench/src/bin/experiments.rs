@@ -19,7 +19,6 @@ use mcfpga::netlist::dfg::{generated_family, paper_example};
 use mcfpga::netlist::{library, perturb_netlist, random_netlist, workload, RandomNetlistParams};
 use mcfpga::prelude::*;
 use mcfpga::rcm::synthesize;
-use mcfpga::sim::Device;
 use mcfpga_bench::{header, mixed_contexts, suite};
 
 fn main() {
@@ -112,7 +111,7 @@ fn table1() {
     // The paper's structural-redundancy claim on perturbed workloads.
     println!("\nstructure-preserving workloads (perturbation model, 5% change):");
     let w = workload(RandomNetlistParams::default(), 4, 0.05, 7);
-    let dev = Device::compile(&arch, &w).expect("compile");
+    let dev = MultiDevice::compile_aligned(&arch, &w).expect("compile");
     let r = dev.report();
     println!("  LUT planes/position histogram: {:?}", r.plane_histogram);
     println!(
@@ -338,7 +337,7 @@ fn area45() {
     // Cross-check against a measured compiled design.
     let arch = ArchSpec::paper_default();
     let w = workload(RandomNetlistParams::default(), 4, 0.05, 99);
-    let dev = Device::compile(&arch, &w).expect("compile");
+    let dev = MultiDevice::compile_aligned(&arch, &w).expect("compile");
     let measured = measured_area_comparison(
         &dev,
         Technology::Cmos,
@@ -486,7 +485,7 @@ fn flow() {
     );
     for circuit in suite() {
         let contexts = vec![circuit.clone(); 4];
-        let mut dev = match Device::compile(&arch, &contexts) {
+        let mut dev = match MultiDevice::compile_aligned(&arch, &contexts) {
             Ok(d) => d,
             Err(e) => {
                 println!("{:<12} failed: {e}", circuit.name());
@@ -584,7 +583,8 @@ fn flow() {
     // structure-preserving 5%-change workload — the paper's intended
     // operating regime — is measured alongside so both points are labeled.
     let structured = workload(RandomNetlistParams::default(), 4, 0.05, 99);
-    let structured_dev = Device::compile(&arch, &structured).expect("structured compile");
+    let structured_dev =
+        MultiDevice::compile_aligned(&arch, &structured).expect("structured compile");
     let structured_change =
         ColumnSetStats::measure(&structured_dev.switch_usage().columns(), arch.context_id())
             .change_rate;
@@ -760,8 +760,8 @@ fn fig12_adaptive() {
         library::fir4(4, [1, 2, 1, 0]),
     ] {
         let contexts = vec![circuit.clone(); 4];
-        let adaptive = Device::compile_adaptive(&arch, &contexts).expect("compile");
-        let fixed = Device::compile(&arch, &contexts).expect("compile");
+        let adaptive = MultiDevice::compile_aligned_adaptive(&arch, &contexts).expect("compile");
+        let fixed = MultiDevice::compile_aligned(&arch, &contexts).expect("compile");
         println!(
             "{:<26} {:>7} {:>9} {:>9}",
             format!("{} x4 (shared)", circuit.name()),
@@ -782,8 +782,8 @@ fn fig12_adaptive() {
             rate,
             3,
         );
-        let adaptive = Device::compile_adaptive(&arch, &w).expect("compile");
-        let fixed = Device::compile(&arch, &w).expect("compile");
+        let adaptive = MultiDevice::compile_aligned_adaptive(&arch, &w).expect("compile");
+        let fixed = MultiDevice::compile_aligned(&arch, &w).expect("compile");
         println!(
             "{:<26} {:>7} {:>9} {:>9}",
             format!("random, {:.0}% change", rate * 100.0),
@@ -856,7 +856,7 @@ fn faults() {
         0.1,
         77,
     );
-    let mut dev = Device::compile(&arch, &w).expect("compile");
+    let mut dev = MultiDevice::compile_aligned(&arch, &w).expect("compile");
     let report = lut_fault_campaign(&mut dev, &w, 60, 150, 42);
     println!(
         "injected {} single-bit LUT upsets, {} detected by randomized",
@@ -868,7 +868,7 @@ fn faults() {
     );
     println!("detection rate: {:.0}%", 100.0 * report.detection_rate());
     println!("\nupsets in RCM decoders or routing state are structural: the");
-    println!("connectivity re-derivation (Device::check_routing) finds them");
+    println!("connectivity re-derivation (MultiDevice::check_routing) finds them");
     println!("without stimulus.");
 }
 
@@ -1173,7 +1173,7 @@ fn sim() {
         0.1,
         77,
     );
-    let mut fault_dev = Device::compile(&arch, &w).expect("compile");
+    let mut fault_dev = MultiDevice::compile_aligned(&arch, &w).expect("compile");
     fault_dev.attach_recorder(&rec);
     let campaign_start = std::time::Instant::now();
     let campaign = lut_fault_campaign(&mut fault_dev, &w, 60, 150, 42);
@@ -2355,8 +2355,7 @@ fn probe() {
     let arity: Vec<usize> = circuits.iter().map(|c| c.inputs().len()).collect();
 
     // The sim experiment's exact deterministic schedule (same seed, same
-    // switch probability), so the disabled-path throughput below is
-    // directly comparable to BENCH_sim.json's batched_vectors_per_sec.
+    // switch probability).
     let words = 512usize;
     let mut rng = StdRng::seed_from_u64(2027);
     let mut context = 0usize;
@@ -2397,33 +2396,40 @@ fn probe() {
         })
         .collect();
 
-    // Phase 1: the disabled path — no probes armed, no census. This is the
-    // number the regression gate holds within 5% of BENCH_sim.json; best of
-    // 3 trials, because a single 16-pass block is only ~0.5 ms of work and
-    // scheduler noise alone can swing it past the gate.
+    // Phase 1: the disabled path — no probes armed, no census — against a
+    // never-probed twin compiled from the same circuits with the same
+    // recorder kind. Both time the same `try_step_batch_into`; their trials
+    // interleave, best of 5 each, so machine noise hits both numbers alike
+    // and the regression gate can hold their ratio. A single 16-pass block
+    // is only ~0.5 ms of work.
     let repeats = 16usize;
-    let run_batched = |dev: &mut MultiDevice| -> u64 {
-        let mut best = u64::MAX;
-        for _ in 0..3 {
-            dev.reset();
-            let start = std::time::Instant::now();
-            for _ in 0..repeats {
-                for (c, inputs) in &schedule {
-                    dev.switch_context(*c);
-                    dev.step_batch(inputs);
-                }
+    let trials = 5usize;
+    let time_pass = |dev: &mut MultiDevice| -> u64 {
+        dev.reset();
+        let start = std::time::Instant::now();
+        for _ in 0..repeats {
+            for (c, inputs) in &schedule {
+                dev.switch_context(*c);
+                dev.step_batch(inputs);
             }
-            best = best.min(start.elapsed().as_micros().max(1) as u64);
         }
-        best
+        start.elapsed().as_micros().max(1) as u64
     };
-    let disabled_us = run_batched(&mut dev);
+    let mut twin =
+        MultiDevice::compile_with(&arch, &circuits, &Recorder::enabled()).expect("compile twin");
+    let (mut disabled_us, mut plain_us) = (u64::MAX, u64::MAX);
+    for _ in 0..trials {
+        disabled_us = disabled_us.min(time_pass(&mut dev));
+        plain_us = plain_us.min(time_pass(&mut twin));
+    }
     let vectors = (words * LANES) as u64;
     let per_sec = |us: u64| (vectors * repeats as u64) as f64 / (us as f64 / 1e6);
     let probe_disabled_vectors_per_sec = per_sec(disabled_us);
+    let plain_batched_vectors_per_sec = per_sec(plain_us);
     println!(
         "disabled path: {words} words x {LANES} lanes x {repeats} passes, \
-         {probe_disabled_vectors_per_sec:.0} vectors/s (no probes, no census)"
+         {probe_disabled_vectors_per_sec:.0} vectors/s (no probes, no census); \
+         never-probed twin {plain_batched_vectors_per_sec:.0} vectors/s"
     );
 
     // Phase 2: arm every context's primary outputs and validate the rings
@@ -2478,7 +2484,10 @@ fn probe() {
         .len();
 
     // Phase 3: the armed path, timed with the same probes still live.
-    let armed_us = run_batched(&mut dev);
+    let armed_us = (0..trials)
+        .map(|_| time_pass(&mut dev))
+        .min()
+        .expect("trials > 0");
     let probe_armed_vectors_per_sec = per_sec(armed_us);
     let armed_overhead = 1.0 - probe_armed_vectors_per_sec / probe_disabled_vectors_per_sec;
     println!(
@@ -2551,12 +2560,12 @@ fn probe() {
     //   device across every pass above (four unrelated circuits, so most
     //   switch columns flip);
     //   5% point — the paper's operating regime: a structure-preserving
-    //   workload compiled as one Device (shared placement/routing), where
+    //   workload compiled aligned (shared placement/routing), where
     //   redundant columns make switches nearly free. Bits flipped per
     //   switch fall straight out of the switch-column patterns.
     let mixed_energy = dev.reconfig_energy();
     let w = workload(RandomNetlistParams::default(), 4, 0.05, 99);
-    let edev = Device::compile(&arch, &w).expect("compile 5% workload");
+    let edev = MultiDevice::compile_aligned(&arch, &w).expect("compile 5% workload");
     let columns = edev.switch_usage().columns();
     let energy_change_rate = ColumnSetStats::measure(&columns, arch.context_id()).change_rate;
     let energy_switches = 64u64;
@@ -2603,6 +2612,8 @@ fn probe() {
         repeats,
         disabled_us,
         probe_disabled_vectors_per_sec,
+        plain_us,
+        plain_batched_vectors_per_sec,
         armed_us,
         probe_armed_vectors_per_sec,
         armed_overhead,
@@ -2637,12 +2648,16 @@ struct ProbeBench {
     words: usize,
     lanes: usize,
     vectors: u64,
-    /// Timed batched passes per phase (disabled and armed).
+    /// Timed batched passes per trial (best of 5 trials per phase).
     repeats: usize,
     disabled_us: u64,
     /// Batched throughput with no probes armed and no census — gated within
-    /// 5% of BENCH_sim.json's batched_vectors_per_sec.
+    /// 5% of `plain_batched_vectors_per_sec`.
     probe_disabled_vectors_per_sec: f64,
+    plain_us: u64,
+    /// Batched throughput of a never-probed twin device, its trials
+    /// interleaved with the disabled path's.
+    plain_batched_vectors_per_sec: f64,
     armed_us: u64,
     probe_armed_vectors_per_sec: f64,
     /// `1 - armed/disabled` with every primary output probed.
@@ -2667,7 +2682,7 @@ struct ProbeBench {
     mixed_bits_flipped: u64,
     mixed_energy_pj: f64,
     /// Measured switch-column change rate of the 5% energy workload
-    /// (a structure-preserving Device compile: the paper's regime).
+    /// (a structure-preserving aligned compile: the paper's regime).
     energy_change_rate: f64,
     energy_switches: u64,
     energy_bits_flipped: u64,

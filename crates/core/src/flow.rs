@@ -10,13 +10,13 @@ use mcfpga_area::{
 use mcfpga_netlist::Netlist;
 use mcfpga_obs::{Recorder, RunReport};
 use mcfpga_rcm::{synthesize, synthesize_with};
-use mcfpga_sim::{CompileError, CompileOptions, Device, MultiDevice};
+use mcfpga_sim::{CompileError, CompileOptions, MultiDevice};
 
 /// Area comparison driven by a *compiled device's measured* statistics —
 /// actual switch columns from routing and actual plane demand from
 /// cross-context sharing — instead of the analytic change-rate model.
 pub fn measured_area_comparison(
-    device: &Device,
+    device: &MultiDevice,
     tech: Technology,
     params: &AreaParams,
     weights: &FabricWeights,
@@ -40,11 +40,10 @@ pub fn measured_area_comparison(
     let prop_switch = mean_col_area * weights.switches_per_cell;
 
     // Logic side: measured plane demand and controller cost.
-    let shared = device.shared_design();
     let report = device.report();
     let n_lbs = report.n_lbs.max(1) as f64;
     let lb_workload = LbWorkload {
-        mean_planes: shared.mean_planes(),
+        mean_planes: report.mean_planes,
         mean_controller_ses: report.controller_ses as f64 / n_lbs,
     };
     let conv_lb = conventional_lb_area(&arch.lut, n, params);
@@ -274,7 +273,7 @@ mod tests {
             0.05,
             42,
         );
-        let device = Device::compile(&arch, &w).unwrap();
+        let device = MultiDevice::compile_aligned(&arch, &w).unwrap();
         let params = AreaParams::paper_default();
         let weights = FabricWeights::default();
         let measured = measured_area_comparison(&device, Technology::Cmos, &params, &weights);

@@ -84,5 +84,5 @@ pub mod prelude {
     pub use crate::netlist::Netlist;
     pub use crate::obs::{Recorder, RunReport};
     pub use crate::rcm::synthesize;
-    pub use crate::sim::{check_device_equivalence, CompileOptions, Device, MultiDevice, SimError};
+    pub use crate::sim::{check_device_equivalence, CompileOptions, MultiDevice, SimError};
 }

@@ -18,9 +18,8 @@ use mcfpga_netlist::{Netlist, NetlistError, State};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::device::Device;
 use crate::kernel::LANES;
-use crate::multi::SimError;
+use crate::multi::{MultiDevice, SimError};
 
 /// An observed divergence. `lane` is the stimulus stream that diverged —
 /// always 0 on the scalar path.
@@ -104,21 +103,31 @@ impl From<SimError> for EquivalenceCheckError {
     }
 }
 
+/// One reference register state per device register file: file `f`
+/// powers on with context `f`'s initial state.
+pub(crate) fn reference_states(device: &MultiDevice, references: &[Netlist]) -> Vec<State> {
+    references
+        .iter()
+        .take(device.states.len())
+        .map(|r| r.initial_state())
+        .collect()
+}
+
 /// Run `cycles` random cycles with random context switches; compare the
-/// device against the per-context reference netlists sharing one register
-/// state (contexts of an aligned workload have identical register
-/// structure, so the state vector is common).
+/// device against the per-context reference netlists. The references keep
+/// one register state per device register file, so contexts of an aligned
+/// workload (one shared file) carry state across switches exactly as the
+/// fabric does.
 pub fn check_device_equivalence(
-    device: &mut Device,
+    device: &mut MultiDevice,
     references: &[Netlist],
     cycles: usize,
     seed: u64,
 ) -> Result<(), EquivalenceCheckError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n_inputs = references[0].inputs().len();
     device.reset();
     device.try_switch_context(0)?;
-    let mut ref_state: State = references[0].initial_state();
+    let mut ref_states = reference_states(device, references);
     let mut context = 0usize;
     for cycle in 0..cycles {
         // Occasionally switch contexts (the defining operation).
@@ -126,10 +135,11 @@ pub fn check_device_equivalence(
             context = rng.gen_range(0..references.len());
             device.try_switch_context(context)?;
         }
+        let n_inputs = references[context].inputs().len();
         let inputs: Vec<bool> = (0..n_inputs).map(|_| rng.gen_bool(0.5)).collect();
         let dev_out = device.try_step(&inputs)?;
         let ref_out = references[context]
-            .step(&inputs, &mut ref_state)
+            .step(&inputs, &mut ref_states[device.reg_file[context]])
             .map_err(|error| EquivalenceCheckError::Reference {
                 cycle,
                 context,
@@ -155,30 +165,34 @@ pub fn check_device_equivalence(
 /// boundaries. Every lane is replayed scalar-wise against its own reference
 /// state, so one call covers `words * LANES` vector-cycles.
 pub fn check_device_equivalence_batch(
-    device: &mut Device,
+    device: &mut MultiDevice,
     references: &[Netlist],
     words: usize,
     seed: u64,
 ) -> Result<(), EquivalenceCheckError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n_inputs = references[0].inputs().len();
     device.reset();
     device.try_switch_context(0)?;
-    let mut ref_states: Vec<State> = (0..LANES).map(|_| references[0].initial_state()).collect();
+    let mut ref_states: Vec<Vec<State>> = reference_states(device, references)
+        .into_iter()
+        .map(|s| vec![s; LANES])
+        .collect();
     let mut context = 0usize;
-    let mut in_words = vec![0u64; n_inputs];
+    let mut in_words: Vec<u64> = Vec::new();
     let mut out_words: Vec<u64> = Vec::new();
-    let mut lane_inputs = vec![false; n_inputs];
+    let mut lane_inputs: Vec<bool> = Vec::new();
     for word in 0..words {
         if rng.gen_bool(0.3) {
             context = rng.gen_range(0..references.len());
             device.try_switch_context(context)?;
         }
-        for w in in_words.iter_mut() {
-            *w = rng.next_u64();
-        }
+        let n_inputs = references[context].inputs().len();
+        in_words.clear();
+        in_words.extend((0..n_inputs).map(|_| rng.next_u64()));
+        lane_inputs.resize(n_inputs, false);
         device.try_step_batch_into(&in_words, &mut out_words)?;
-        for (lane, ref_state) in ref_states.iter_mut().enumerate() {
+        let file = device.reg_file[context];
+        for (lane, ref_state) in ref_states[file].iter_mut().enumerate() {
             for (b, w) in lane_inputs.iter_mut().zip(&in_words) {
                 *b = (w >> lane) & 1 == 1;
             }
@@ -236,7 +250,7 @@ mod tests {
                 0.1,
                 seed,
             );
-            let mut dev = Device::compile(&arch(), &w).unwrap();
+            let mut dev = MultiDevice::compile_aligned(&arch(), &w).unwrap();
             check_device_equivalence(&mut dev, &w, 60, seed).unwrap();
             check_device_equivalence_batch(&mut dev, &w, 10, seed).unwrap();
         }
@@ -255,9 +269,19 @@ mod tests {
             0.05,
             11,
         );
-        let mut dev = Device::compile(&arch(), &w).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch(), &w).unwrap();
         check_device_equivalence(&mut dev, &w, 80, 11).unwrap();
         check_device_equivalence_batch(&mut dev, &w, 20, 11).unwrap();
+        // Independent circuits with different arities and register counts:
+        // one register file per context.
+        let circuits = vec![
+            library::counter(4),
+            library::lfsr(8, 0x8E),
+            library::adder(4),
+        ];
+        let mut dev = MultiDevice::compile(&arch(), &circuits).unwrap();
+        check_device_equivalence(&mut dev, &circuits, 80, 11).unwrap();
+        check_device_equivalence_batch(&mut dev, &circuits, 20, 11).unwrap();
     }
 
     #[test]
@@ -265,7 +289,7 @@ mod tests {
         // Same circuit replicated in every context: the pure-sharing case.
         for circuit in [library::adder(4), library::alu(4), library::popcount(6)] {
             let contexts = vec![circuit.clone(), circuit.clone(), circuit.clone(), circuit];
-            let mut dev = Device::compile(&arch(), &contexts).unwrap();
+            let mut dev = MultiDevice::compile_aligned(&arch(), &contexts).unwrap();
             check_device_equivalence(&mut dev, &contexts, 40, 3).unwrap();
             check_device_equivalence_batch(&mut dev, &contexts, 8, 3).unwrap();
         }
@@ -274,7 +298,7 @@ mod tests {
     #[test]
     fn batch_checker_catches_an_injected_fault_with_lane_attribution() {
         let contexts = vec![library::parity(8); 4];
-        let mut dev = Device::compile(&arch(), &contexts).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch(), &contexts).unwrap();
         dev.inject_lut_fault(crate::faults::LutFault {
             lb: 0,
             output: 0,

@@ -7,7 +7,7 @@
 //!   it manifests only in the contexts mapped to that plane and only for the
 //!   affected input assignment.
 //! * **Routing switches** — a stuck-off switch breaks connectivity in the
-//!   contexts that needed it; [`crate::Device::check_routing`]-style
+//!   contexts that needed it; [`crate::MultiDevice::check_routing`]-style
 //!   re-derivation finds these *structurally*, without stimulus.
 //!
 //! The campaign utilities below quantify detection: how many random upsets
@@ -28,9 +28,9 @@ use mcfpga_netlist::Netlist;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::device::Device;
+use crate::equivalence::reference_states;
 use crate::kernel::{extract_lane, KernelScratch, LANES};
-use crate::multi::{effective_workers, fan_out};
+use crate::multi::{effective_workers, fan_out, MultiDevice};
 
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +61,7 @@ impl CampaignReport {
     }
 }
 
-impl Device {
+impl MultiDevice {
     /// Inject a LUT-bit upset. Returns the fault record for reporting.
     pub fn inject_lut_fault(&mut self, fault: LutFault) -> LutFault {
         self.lb_mut(fault.lb)
@@ -86,7 +86,7 @@ struct ScheduleStep {
 /// of randomized stimulus (64 vector streams per word, context switches at
 /// word boundaries) — `cycles * 64` vectors per fault.
 pub fn lut_fault_campaign(
-    device: &mut Device,
+    device: &mut MultiDevice,
     references: &[Netlist],
     n_faults: usize,
     cycles: usize,
@@ -107,7 +107,6 @@ pub fn lut_fault_campaign(
 
     // The shared stimulus schedule: every fault sees the same words, so the
     // fault-free reference outputs are computed exactly once.
-    let n_inputs = references[0].inputs().len();
     let mut sched_rng = StdRng::seed_from_u64(seed ^ 0x05EE_DFA0_7CA3_D1D0_u64);
     let mut context = 0usize;
     let schedule: Vec<ScheduleStep> = (0..cycles)
@@ -115,6 +114,7 @@ pub fn lut_fault_campaign(
             if sched_rng.gen_bool(0.3) {
                 context = sched_rng.gen_range(0..references.len());
             }
+            let n_inputs = references[context].inputs().len();
             ScheduleStep {
                 context,
                 inputs: (0..n_inputs).map(|_| sched_rng.next_u64()).collect(),
@@ -122,14 +122,20 @@ pub fn lut_fault_campaign(
         })
         .collect();
 
-    // Golden output words: each lane is an independent reference replay.
-    let mut ref_states: Vec<_> = (0..LANES).map(|_| references[0].initial_state()).collect();
-    let mut lane_inputs = vec![false; n_inputs];
+    // Golden output words: each lane is an independent reference replay,
+    // with one reference state per device register file.
+    let mut ref_states: Vec<Vec<_>> = reference_states(device, references)
+        .into_iter()
+        .map(|s| vec![s; LANES])
+        .collect();
+    let mut lane_inputs = Vec::new();
     let expected: Vec<Vec<u64>> = schedule
         .iter()
         .map(|step| {
             let mut words: Vec<u64> = Vec::new();
-            for (lane, state) in ref_states.iter_mut().enumerate() {
+            lane_inputs.resize(step.inputs.len(), false);
+            let states = &mut ref_states[device.reg_file[step.context]];
+            for (lane, state) in states.iter_mut().enumerate() {
                 extract_lane(&step.inputs, lane, &mut lane_inputs);
                 let out = references[step.context]
                     .step(&lane_inputs, state)
@@ -145,8 +151,8 @@ pub fn lut_fault_campaign(
         })
         .collect();
 
-    // Healthy per-context kernels and the lane-broadcast initial registers;
-    // each fault flips its folded table bits on a clone.
+    // Healthy per-context kernels and the power-on register files; each
+    // fault flips its folded table bits on a clone.
     device.reset();
     let kernels = device.compiled_kernels();
     // Fault sites address pre-optimization LUT positions; the optimizer
@@ -157,11 +163,8 @@ pub fn lut_fault_campaign(
         kernels.iter().all(|k| !k.optimized()),
         "fault campaign requires unoptimized kernels"
     );
-    let init_regs: Vec<u64> = device
-        .registers()
-        .iter()
-        .map(|&b| if b { !0u64 } else { 0 })
-        .collect();
+    let init_regs = device.states.clone();
+    let reg_file = &device.reg_file;
     let fault_sites: Vec<Vec<(usize, usize)>> = faults
         .iter()
         .map(|f| device.fault_kernel_sites(f))
@@ -176,7 +179,8 @@ pub fn lut_fault_campaign(
         let mut scratch = KernelScratch::new();
         let mut out: Vec<u64> = Vec::new();
         for (step, want) in schedule.iter().zip(&expected) {
-            kernels[step.context].step(&step.inputs, &mut regs, &mut scratch, &mut out);
+            let file = reg_file[step.context];
+            kernels[step.context].step(&step.inputs, &mut regs[file], &mut scratch, &mut out);
             if out != *want {
                 return true;
             }
@@ -205,7 +209,7 @@ mod tests {
     #[test]
     fn injected_fault_on_used_plane_is_detected() {
         let circuits = vec![library::parity(8); 4];
-        let mut dev = Device::compile(&arch(), &circuits).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch(), &circuits).unwrap();
         // The parity tree's LUTs are all on plane 0 (fully shared) and
         // every assignment of a XOR table matters: any flip must be caught.
         let fault = LutFault {
@@ -238,7 +242,7 @@ mod tests {
             0.1,
             77,
         );
-        let mut dev = Device::compile(&arch(), &w).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch(), &w).unwrap();
         let report = lut_fault_campaign(&mut dev, &w, 30, 120, 13);
         assert_eq!(report.injected, 30);
         assert_eq!(report.detected + report.silent, 30);
@@ -252,6 +256,24 @@ mod tests {
         // After the campaign the device is fault-free again (the campaign
         // runs on kernel clones and never mutates the device).
         check_device_equivalence(&mut dev, &w, 60, 1).unwrap();
+    }
+
+    #[test]
+    fn campaign_runs_on_independent_circuits() {
+        // One register file per context and a different input arity in
+        // each: the golden and kernel replays must follow the active
+        // context's file. A replay that drifted from the golden outputs
+        // would flag every fault, so some must stay silent.
+        let circuits = vec![
+            library::counter(4),
+            library::lfsr(8, 0x8E),
+            library::adder(4),
+        ];
+        let mut dev = MultiDevice::compile(&arch(), &circuits).unwrap();
+        let report = lut_fault_campaign(&mut dev, &circuits, 30, 120, 13);
+        assert_eq!(report.detected + report.silent, 30);
+        assert!(report.detected > 0 && report.silent > 0, "{report:?}");
+        check_device_equivalence(&mut dev, &circuits, 60, 1).unwrap();
     }
 
     #[test]
@@ -270,7 +292,7 @@ mod tests {
             0.1,
             21,
         );
-        let mut dev = Device::compile(&arch(), &w).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch(), &w).unwrap();
         let report = lut_fault_campaign(&mut dev, &w, 12, 60, 7);
         // Re-derive the same fault list the campaign sampled.
         let mut rng = StdRng::seed_from_u64(7);
@@ -307,7 +329,7 @@ mod tests {
         // Fully shared workload: only plane 0 is ever selected; upsets on
         // plane 3 can never be observed.
         let circuits = vec![library::adder(4); 4];
-        let mut dev = Device::compile(&arch(), &circuits).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch(), &circuits).unwrap();
         let fault = LutFault {
             lb: 0,
             output: 0,

@@ -1,8 +1,8 @@
 //! The compiled, bit-parallel simulation kernel: 64·W stimulus vectors per
 //! chunk of W machine words through the fabric model.
 //!
-//! The scalar paths ([`crate::Device::step`] / [`crate::MultiDevice::step`])
-//! interpret the mapped netlist one bit at a time, resolving every LUT's
+//! The scalar path ([`crate::MultiDevice::step`]) interprets the mapped
+//! netlist one bit at a time, resolving every LUT's
 //! plane through the size-controller decoders on every cycle. Everything the
 //! reproduction claims about functional correctness and fault coverage
 //! multiplies thousands of cycles by that cost, so simulation throughput is
@@ -18,8 +18,8 @@
 //! per lane — and every instruction is a handful of fixed-size array ops the
 //! autovectorizer lifts to AVX2/AVX-512/NEON. The classic 64-lane path is
 //! exactly the `W = 1` instantiation ([`CompiledKernel::step`] forwards to
-//! [`CompiledKernel::step_wide`]), so chunk layouts, probe sampling, toggle
-//! census, and lane-0 write-back are preserved bit-for-bit.
+//! [`CompiledKernel::step_wide`]), so chunk layouts, probe sampling, and the
+//! toggle census are preserved bit-for-bit.
 //!
 //! Instructions default to a constant-seeded mux-tree reduction over the
 //! packed table (`2^k - 1` chunk-ops per k-input LUT). The optional kernel
@@ -565,11 +565,6 @@ fn eval_table_wide<const W: usize>(
         }
     }
     mux[0]
-}
-
-/// Broadcast a bool slice into lane-parallel words (every lane equal).
-pub(crate) fn broadcast(bits: &[bool], words: &mut Vec<u64>) {
-    broadcast_wide(bits, words, 1);
 }
 
 /// Broadcast a bool slice into `W`-word chunks (every lane of every word of

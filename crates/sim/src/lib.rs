@@ -1,12 +1,14 @@
 //! Configured-fabric simulation: the end-to-end device model.
 //!
-//! [`Device`] compiles a multi-context workload (one netlist per context,
-//! structurally aligned) onto an architecture: mapping with a shared cover,
-//! cross-context sharing, logic-block construction with locally controlled
-//! MCMG-LUTs (plane selection through real RCM decoder netlists), placement,
-//! routing, and switch-column extraction. It then *runs*: clock it with
-//! inputs, switch contexts at any cycle, and registers carry state across —
-//! the DPGA execution model the paper builds on.
+//! [`MultiDevice`] is the one fabric runtime. Two compile front ends build
+//! its compiled image: [`MultiDevice::compile`] maps, places and routes one
+//! independent circuit per context, and [`MultiDevice::compile_aligned`]
+//! maps a structurally aligned workload with a shared cover, cross-context
+//! plane sharing, and logic blocks with locally controlled MCMG-LUTs (plane
+//! selection through real RCM decoder netlists), placed and routed once.
+//! The device then *runs*: clock it with inputs, switch contexts at any
+//! cycle, and registers carry state across — the DPGA execution model the
+//! paper builds on.
 //!
 //! The simulator is the reproduction's correctness anchor: integration
 //! tests drive the same stimuli through the device and through each
@@ -24,7 +26,7 @@ pub mod observe;
 pub mod optimize;
 pub mod temporal;
 
-pub use device::{CompileError, CompileReport, Device};
+pub use device::{CompileError, CompileReport};
 pub use equivalence::{
     check_device_equivalence, check_device_equivalence_batch, EquivalenceCheckError,
     EquivalenceError,

@@ -1,20 +1,32 @@
 #![allow(clippy::needless_range_loop)]
-//! The heterogeneous multi-context device: one *independent* circuit per
-//! context, time-multiplexed on one fabric — the paper's motivating DPGA
-//! use case ("sequentially configured as different processors in real
-//! time").
+//! The multi-context fabric runtime. Two compile front ends build one
+//! compiled image, and one set of execution code runs it.
 //!
-//! Unlike [`crate::Device`] (structurally aligned workloads with plane
-//! sharing), each context here is mapped, placed and routed on its own; the
-//! physical logic blocks then collect, per site, the truth tables each
-//! context put there, and plane grouping happens per site across contexts.
-//! Routing switches genuinely differ between contexts, so the extracted
-//! configuration columns exhibit the real mixed statistics of Table 1.
+//! * **Independent** ([`MultiDevice::compile`] and friends): one unrelated
+//!   circuit per context, time-multiplexed on one fabric — the paper's
+//!   motivating DPGA use case ("sequentially configured as different
+//!   processors in real time"). Each context is mapped, placed and routed on
+//!   its own; the physical logic blocks then collect, per site, the truth
+//!   tables each context put there. Routing switches genuinely differ
+//!   between contexts, so the extracted configuration columns exhibit the
+//!   real mixed statistics of Table 1.
+//! * **Aligned** ([`MultiDevice::compile_aligned`], in [`crate::device`]):
+//!   the contexts share one LUT cover, so LUT position `i` has the same
+//!   inputs in every context. One placement and one route serve every
+//!   context, and planes merge wherever contexts share logic (Figs. 13–14).
+//!
+//! Both produce the same image: per-context mapped netlists, a per-context
+//! LUT → (block, slot) map into one dense logic-block vector, per-context
+//! routing and the switch usage, and a per-context register-file index.
+//! Register state lives only as 64-lane words per register file. The
+//! compiled kernel steps all lanes; the scalar step walks the logic-block
+//! hardware model on lane 0 and writes its next state back to every lane —
+//! the reference the kernel is held to, injected faults included.
 
 use mcfpga_arch::{ArchSpec, ContextId, LutMode};
-use mcfpga_config::Bitstream;
+use mcfpga_config::{Bitstream, ColumnSetStats};
 use mcfpga_lut::{AdaptiveLogicBlock, LocalSizeController, SizeControl, TruthTable};
-use mcfpga_map::{map_netlist, MappedNetlist, MappedSource};
+use mcfpga_map::{map_netlist, MapError, MappedNetlist, MappedSource};
 use mcfpga_netlist::Netlist;
 use mcfpga_obs::Recorder;
 use mcfpga_place::{
@@ -25,7 +37,7 @@ use mcfpga_route::{
     RoutedContext, RoutingGraph, SwitchUsage,
 };
 
-use crate::device::CompileError;
+use crate::device::{CompileError, CompileReport};
 use crate::kernel::{self, CompiledKernel, KernelScratch, LANES};
 use crate::observe::{
     self, ActivityCensus, ActivityReport, ContextProbes, ProbeCapture, ProbeSet, ReconfigEnergy,
@@ -325,7 +337,66 @@ impl ReconfigMeta {
     }
 }
 
-/// A compiled heterogeneous device.
+/// The all-lanes-equal word of one register or LUT value.
+pub(crate) fn lane_word(bit: bool) -> u64 {
+    if bit {
+        !0
+    } else {
+        0
+    }
+}
+
+/// `m`'s power-on registers, broadcast to every lane.
+fn initial_words(m: &MappedNetlist) -> Vec<u64> {
+    m.dffs.iter().map(|d| lane_word(d.init)).collect()
+}
+
+/// Build one logic block per entry of `tables`, where `tables[b][c]` holds
+/// device context `c`'s truth table for each output slot of block `b`.
+/// Contexts with equal tuples share a plane, the local size controller
+/// selects it, and a block needing more planes than `mode` offers fails
+/// with [`CompileError::PlaneOverflow`].
+pub(crate) fn build_logic_blocks(
+    arch: &ArchSpec,
+    mode: LutMode,
+    tables: &[Vec<Vec<u64>>],
+) -> Result<Vec<AdaptiveLogicBlock>, CompileError> {
+    let ctx = arch.context_id();
+    tables
+        .iter()
+        .enumerate()
+        .map(|(b, per_context)| {
+            let mut planes: Vec<&Vec<u64>> = Vec::new();
+            let mut plane_of_context = Vec::with_capacity(per_context.len());
+            for key in per_context {
+                let p = planes.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    planes.push(key);
+                    planes.len() - 1
+                });
+                plane_of_context.push(p);
+            }
+            if planes.len() > mode.planes {
+                return Err(CompileError::PlaneOverflow {
+                    lb: b,
+                    needed: planes.len(),
+                    available: mode.planes,
+                });
+            }
+            let controller = LocalSizeController::new(ctx, &plane_of_context, mode);
+            let mut lb = AdaptiveLogicBlock::new(arch.lut, mode, SizeControl::Local(controller))
+                .expect("mode fits geometry");
+            for (p, key) in planes.iter().enumerate() {
+                for (slot, &table) in key.iter().enumerate() {
+                    lb.program(slot, p, &TruthTable::from_packed(mode.inputs, table));
+                }
+            }
+            Ok(lb)
+        })
+        .collect()
+}
+
+/// A compiled multi-context fabric (see the module docs for the two compile
+/// front ends that build it).
 pub struct MultiDevice {
     arch: ArchSpec,
     ctx: ContextId,
@@ -335,35 +406,35 @@ pub struct MultiDevice {
     routed: Vec<RoutedContext>,
     graph: RoutingGraph,
     usage: SwitchUsage,
-    /// Physical logic blocks, indexed by grid site (row-major over the
-    /// full placement grid).
-    lbs: Vec<Option<AdaptiveLogicBlock>>,
-    /// Per context: LUT position -> (site index, output slot).
+    /// Physical logic blocks in use, densely numbered ([`LutFault::lb`]
+    /// indexes this).
+    ///
+    /// [`LutFault::lb`]: crate::LutFault::lb
+    lbs: Vec<AdaptiveLogicBlock>,
+    /// Per context: LUT position -> (logic block, output slot).
     site_of: Vec<Vec<(usize, usize)>>,
-    /// Per-context register state (independent circuits, independent state).
-    states: Vec<Vec<bool>>,
+    /// Per context: the register file holding its registers. Aligned
+    /// fabrics share file 0, so registers survive a context switch;
+    /// independent circuits own file `c`. File `f` powers on with context
+    /// `f`'s initial state.
+    pub(crate) reg_file: Vec<usize>,
+    /// Per register file: one 64-lane word per register (bit `l` = lane `l`).
+    pub(crate) states: Vec<Vec<u64>>,
     active: usize,
-    /// Per-context compiled bit-parallel kernels, built on first batched
-    /// use. Configuration is immutable after compile, so a cached kernel
-    /// only invalidates when the wanted *variant* changes: optimized when
-    /// [`KernelOptions::optimize`] is set and no observability consumer is
-    /// armed, unoptimized otherwise (probes, census, and fault campaigns
-    /// address pre-optimization LUT positions).
-    kernels: Vec<Option<CompiledKernel>>,
+    /// Per-context compiled kernels, tagged with the configuration epoch
+    /// they snapshot and rebuilt lazily when stale.
+    kernels: Vec<Option<(u64, CompiledKernel)>>,
+    /// Bumped on every configuration mutation (fault injection), so cached
+    /// kernels — optimized ones included — invalidate.
+    config_epoch: u64,
     /// Kernel lowering knobs from the compile options (mutable afterwards
     /// via [`MultiDevice::set_kernel_options`]).
     kernel_options: KernelOptions,
-    /// Per-context lane-parallel register words; valid only while the
-    /// matching `batch_synced` flag holds.
-    batch_regs: Vec<Vec<u64>>,
-    /// Per context: false whenever the scalar state moved since the last
-    /// batched step, forcing a re-broadcast on the next one.
-    batch_synced: Vec<bool>,
-    batch_scratch: KernelScratch,
+    scratch: KernelScratch,
     /// Scalar hot-path scratch, persistent across cycles.
     scratch_lut_vals: Vec<bool>,
     scratch_in_bits: Vec<bool>,
-    scratch_next: Vec<bool>,
+    scratch_next: Vec<u64>,
     /// Observability sink; disabled (no-op) unless compiled via `*_with`.
     recorder: Recorder,
     /// Lazily built on the first traced context switch (enabled recorders
@@ -443,90 +514,26 @@ impl MultiDevice {
         Self::compile_mapped_opts(arch, circuits, &CompileOptions::default(), rec)
     }
 
-    /// As [`MultiDevice::compile_mapped_with`], with explicit pipeline knobs.
+    /// As [`MultiDevice::compile_mapped_with`], with explicit pipeline knobs:
+    /// the [`MultiDevice::compile_delta`] pipeline with every seed
+    /// [`DeltaSeed::Cold`] and no cancellation hook.
     pub fn compile_mapped_opts(
         arch: &ArchSpec,
         circuits: &[MappedNetlist],
         opts: &CompileOptions,
         rec: &Recorder,
     ) -> Result<MultiDevice, CompileError> {
-        if circuits.is_empty() {
-            return Err(CompileError::EmptyWorkload);
-        }
-        arch.validate().expect("valid architecture");
-        assert!(
-            circuits.len() <= arch.n_contexts,
-            "more circuits than device contexts"
-        );
-        let k = arch.lut.min_inputs;
-
-        // Per-context flows: each context is placed (with its own derived
-        // seed) and routed independently on the shared immutable graph, so
-        // the work fans out across threads when `opts.parallel` is set. The
-        // per-context results are merged back in context order either way,
-        // making the parallel device bit-for-bit identical to the serial one
-        // (including which error is reported: the first failing context).
-        let graph = RoutingGraph::build(arch);
         for m in circuits {
-            assert_eq!(m.k, k, "pre-mapped netlists must use the fabric's k");
+            assert_eq!(
+                m.k, arch.lut.min_inputs,
+                "pre-mapped netlists must use the fabric's k"
+            );
         }
-        let per_context =
-            |worker: usize,
-             c: usize|
-             -> Result<(PlacementProblem, Placement, RoutedContext), CompileError> {
-                // Begin/End trace events make the pool's fan-out visible in the
-                // trace viewer, attributed to the claiming worker.
-                let _ev = rec.begin(
-                    "compile_context",
-                    &[("context", c.into()), ("worker", worker.into())],
-                );
-                let problem = PlacementProblem::from_mapped(&circuits[c], arch)?;
-                let placement = place_with(
-                    &problem,
-                    &AnnealOptions {
-                        seed: 0xC0FFEE ^ c as u64,
-                        ..Default::default()
-                    },
-                    rec,
-                );
-                let nets = nets_from_placement(&problem, &placement);
-                let r = route_context_with(&graph, &nets, &opts.route, rec)?.require_converged()?;
-                Ok((problem, placement, r))
-            };
-        let mapped: Vec<MappedNetlist> = circuits.to_vec();
-        let mut problems = Vec::with_capacity(circuits.len());
-        let mut placements = Vec::with_capacity(circuits.len());
-        let mut routed = Vec::with_capacity(circuits.len());
-        let workers = opts.resolved_workers(circuits.len());
-        rec.set_gauge("flow.parallelism", workers as f64);
-        if workers > 1 {
-            for result in fan_out(circuits.len(), workers, per_context) {
-                let (problem, placement, r) = result?;
-                problems.push(problem);
-                placements.push(placement);
-                routed.push(r);
-            }
-        } else {
-            // Plain serial loop: stop at the first failing context instead
-            // of computing the rest (the parallel path reports the same
-            // first-in-order error, it just can't avoid the extra work).
-            for c in 0..circuits.len() {
-                let (problem, placement, r) = per_context(0, c)?;
-                problems.push(problem);
-                placements.push(placement);
-                routed.push(r);
-            }
-        }
-        Self::assemble(
-            arch,
-            graph,
-            mapped,
-            problems,
-            placements,
-            routed,
-            opts.kernel,
-            rec,
-        )
+        let seeds = vec![DeltaSeed::Cold; circuits.len()];
+        let pre_mapped = |c: usize| Ok(circuits[c].clone());
+        let (device, _) =
+            Self::compile_contexts(arch, circuits.len(), &pre_mapped, opts, rec, &seeds, None)?;
+        Ok(device)
     }
 
     /// Compile with per-context artifact reuse from a prior compile of a
@@ -558,20 +565,37 @@ impl MultiDevice {
         seeds: &[DeltaSeed<'_>],
         cancel: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> Result<(MultiDevice, DeltaStats), CompileError> {
-        if circuits.is_empty() {
+        let k = arch.lut.min_inputs;
+        let map = |c: usize| map_netlist(&circuits[c], k);
+        Self::compile_contexts(arch, circuits.len(), &map, opts, rec, seeds, cancel)
+    }
+
+    /// The per-context pipeline behind every independent compile: context
+    /// `c` is obtained from `map(c)` (or taken from its seed), placed with
+    /// its own derived seed, and routed on the shared immutable graph, so
+    /// the work fans out across threads when `opts.parallel` is set. The
+    /// per-context results merge back in context order either way, making
+    /// the parallel device bit-for-bit identical to the serial one
+    /// (including which error is reported: the first failing context).
+    fn compile_contexts(
+        arch: &ArchSpec,
+        n: usize,
+        map: &(dyn Fn(usize) -> Result<MappedNetlist, MapError> + Sync),
+        opts: &CompileOptions,
+        rec: &Recorder,
+        seeds: &[DeltaSeed<'_>],
+        cancel: Option<&(dyn Fn() -> bool + Sync)>,
+    ) -> Result<(MultiDevice, DeltaStats), CompileError> {
+        if n == 0 {
             return Err(CompileError::EmptyWorkload);
         }
         assert_eq!(
             seeds.len(),
-            circuits.len(),
+            n,
             "one DeltaSeed per circuit (use DeltaSeed::Cold for new slots)"
         );
         arch.validate().expect("valid architecture");
-        assert!(
-            circuits.len() <= arch.n_contexts,
-            "more circuits than device contexts"
-        );
-        let k = arch.lut.min_inputs;
+        assert!(n <= arch.n_contexts, "more circuits than device contexts");
         let graph = RoutingGraph::build(arch);
         let expired = || cancel.is_some_and(|f| f());
 
@@ -590,6 +614,8 @@ impl MultiDevice {
             if expired() {
                 return Err(CompileError::DeadlineExceeded);
             }
+            // Begin/End trace events make the pool's fan-out visible in the
+            // trace viewer, attributed to the claiming worker.
             let _ev = rec.begin(
                 "compile_context",
                 &[("context", c.into()), ("worker", worker.into())],
@@ -609,7 +635,7 @@ impl MultiDevice {
                 DeltaSeed::Changed(a) => Some(a),
                 _ => None,
             };
-            let mapped = map_netlist(&circuits[c], k)?;
+            let mapped = map(c)?;
             let problem = PlacementProblem::from_mapped(&mapped, arch)?;
             let anneal = AnnealOptions {
                 seed: 0xC0FFEE ^ c as u64,
@@ -636,15 +662,15 @@ impl MultiDevice {
             })
         };
 
-        let mut mapped = Vec::with_capacity(circuits.len());
-        let mut problems = Vec::with_capacity(circuits.len());
-        let mut placements = Vec::with_capacity(circuits.len());
-        let mut routed = Vec::with_capacity(circuits.len());
+        let mut mapped = Vec::with_capacity(n);
+        let mut problems = Vec::with_capacity(n);
+        let mut placements = Vec::with_capacity(n);
+        let mut routed = Vec::with_capacity(n);
         let mut stats = DeltaStats {
-            contexts_total: circuits.len(),
+            contexts_total: n,
             ..Default::default()
         };
-        let workers = opts.resolved_workers(circuits.len());
+        let workers = opts.resolved_workers(n);
         rec.set_gauge("flow.parallelism", workers as f64);
         let mut merge = |out: CtxOut| {
             stats.contexts_reused += out.context_reused as usize;
@@ -658,11 +684,14 @@ impl MultiDevice {
             routed.push(out.routed);
         };
         if workers > 1 {
-            for result in fan_out(circuits.len(), workers, per_context) {
+            for result in fan_out(n, workers, per_context) {
                 merge(result?);
             }
         } else {
-            for c in 0..circuits.len() {
+            // Plain serial loop: stop at the first failing context instead
+            // of computing the rest (the parallel path reports the same
+            // first-in-order error, it just can't avoid the extra work).
+            for c in 0..n {
                 merge(per_context(0, c)?);
             }
         }
@@ -670,17 +699,123 @@ impl MultiDevice {
         if expired() {
             return Err(CompileError::DeadlineExceeded);
         }
-        let device = Self::assemble(
+
+        // Physical logic blocks: one per grid site in use, numbered densely
+        // in site order, collecting the tables each device context put there
+        // (contexts beyond the programmed circuits stay all-zero and
+        // collapse into one plane).
+        let lb_span = rec.span("logic_blocks");
+        let outs = arch.lut.outputs;
+        let mut site_of: Vec<Vec<(usize, usize)>> = mapped
+            .iter()
+            .zip(&placements)
+            .map(|(m, placement)| {
+                (0..m.luts.len())
+                    .map(|i| {
+                        let pos = placement.position[lb_of_lut(i, outs)];
+                        (graph.grid.full.index(pos), i % outs)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut used: Vec<usize> = site_of.iter().flatten().map(|&(site, _)| site).collect();
+        used.sort_unstable();
+        used.dedup();
+        let mut tables = vec![vec![vec![0u64; outs]; arch.n_contexts]; used.len()];
+        for (c, (positions, m)) in site_of.iter_mut().zip(&mapped).enumerate() {
+            for ((block, slot), lut) in positions.iter_mut().zip(&m.luts) {
+                *block = used.binary_search(block).expect("site in use");
+                tables[*block][c][*slot] = lut.table;
+            }
+        }
+        let mode = LutMode {
+            inputs: arch.lut.min_inputs,
+            planes: arch.lut.max_planes(),
+        };
+        let lbs = build_logic_blocks(arch, mode, &tables)?;
+        drop(lb_span);
+
+        let reg_file = (0..n).collect();
+        let device = Self::from_image(
             arch,
             graph,
             mapped,
             problems,
             placements,
             routed,
+            lbs,
+            site_of,
+            reg_file,
             opts.kernel,
             rec,
-        )?;
+        );
         Ok((device, stats))
+    }
+
+    /// The runtime around a compiled image, shared by both front ends:
+    /// extract the switch columns (unprogrammed contexts route nothing),
+    /// power on every register file, and start at context 0.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn from_image(
+        arch: &ArchSpec,
+        graph: RoutingGraph,
+        mapped: Vec<MappedNetlist>,
+        problems: Vec<PlacementProblem>,
+        placements: Vec<Placement>,
+        routed: Vec<RoutedContext>,
+        lbs: Vec<AdaptiveLogicBlock>,
+        site_of: Vec<Vec<(usize, usize)>>,
+        reg_file: Vec<usize>,
+        kernel_options: KernelOptions,
+        rec: &Recorder,
+    ) -> MultiDevice {
+        let usage = {
+            let _span = rec.span("columns");
+            let empty = RoutedContext {
+                nets: vec![],
+                trees: vec![],
+                delays: vec![],
+                iterations: 0,
+                converged: true,
+                overused_edges: 0,
+                edge_occupancy: vec![],
+                edge_history: vec![],
+            };
+            let mut all_routes = routed.clone();
+            all_routes.resize(arch.n_contexts, empty);
+            switch_columns(&graph, &all_routes)
+        };
+        let n_files = reg_file.iter().max().map_or(0, |&f| f + 1);
+        let states = mapped[..n_files].iter().map(initial_words).collect();
+        let n = mapped.len();
+        MultiDevice {
+            arch: arch.clone(),
+            ctx: arch.context_id(),
+            mapped,
+            problems,
+            placements,
+            routed,
+            graph,
+            usage,
+            lbs,
+            site_of,
+            reg_file,
+            states,
+            active: 0,
+            kernels: vec![None; n],
+            config_epoch: 0,
+            kernel_options,
+            scratch: KernelScratch::new(),
+            scratch_lut_vals: Vec::new(),
+            scratch_in_bits: Vec::new(),
+            scratch_next: Vec::new(),
+            recorder: rec.clone(),
+            reconfig_meta: None,
+            probes: (0..n).map(|_| None).collect(),
+            census: None,
+            switch_count: 0,
+            switch_bits_flipped: 0,
+        }
     }
 
     /// Clone out every programmed context's intermediate compile products,
@@ -697,152 +832,14 @@ impl MultiDevice {
             .collect()
     }
 
-    /// Shared assembly tail of [`MultiDevice::compile_mapped_opts`] and
-    /// [`MultiDevice::compile_delta`]: pad unprogrammed contexts, extract
-    /// switch columns, group per-site truth tables into LUT planes, and
-    /// build the device. Deterministic in its inputs, so the two compile
-    /// paths produce identical devices from identical per-context results.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        arch: &ArchSpec,
-        graph: RoutingGraph,
-        mapped: Vec<MappedNetlist>,
-        problems: Vec<PlacementProblem>,
-        placements: Vec<Placement>,
-        routed: Vec<RoutedContext>,
-        kernel_options: KernelOptions,
-        rec: &Recorder,
-    ) -> Result<MultiDevice, CompileError> {
-        let ctx = arch.context_id();
-        let n_contexts = arch.n_contexts;
-        let k = arch.lut.min_inputs;
-        let outs = arch.lut.outputs;
-        let p_max = arch.lut.max_planes();
-        let mode = LutMode {
-            inputs: k,
-            planes: p_max,
-        };
-        // Pad unused contexts with empty routing so columns cover every
-        // device context.
-        let empty = RoutedContext {
-            nets: vec![],
-            trees: vec![],
-            delays: vec![],
-            iterations: 0,
-            converged: true,
-            overused_edges: 0,
-            edge_occupancy: vec![],
-            edge_history: vec![],
-        };
-        let mut all_routes = routed.clone();
-        while all_routes.len() < n_contexts {
-            all_routes.push(empty.clone());
-        }
-        let usage = {
-            let _span = rec.span("columns");
-            switch_columns(&graph, &all_routes)
-        };
-
-        // Physical logic blocks: per site, collect each context's tables.
-        let _lb_span = rec.span("logic_blocks");
-        let n_sites = graph.grid.full.n_cells();
-        let mut site_tables: Vec<Vec<Vec<u64>>> = vec![vec![vec![0u64; outs]; n_contexts]; n_sites];
-        let mut site_used = vec![false; n_sites];
-        let mut site_of: Vec<Vec<(usize, usize)>> = Vec::new();
-        for (c, m) in mapped.iter().enumerate() {
-            let mut this_ctx = Vec::with_capacity(m.luts.len());
-            for (i, lut) in m.luts.iter().enumerate() {
-                let lb = lb_of_lut(i, outs);
-                let site = graph.grid.full.index(placements[c].position[lb]);
-                let slot = i % outs;
-                site_tables[site][c][slot] = lut.table;
-                site_used[site] = true;
-                this_ctx.push((site, slot));
-            }
-            site_of.push(this_ctx);
-        }
-        let mut lbs: Vec<Option<AdaptiveLogicBlock>> = Vec::with_capacity(n_sites);
-        for site in 0..n_sites {
-            if !site_used[site] {
-                lbs.push(None);
-                continue;
-            }
-            // Group contexts by their table tuple at this site. Device
-            // contexts beyond the programmed circuits stay all-zero and
-            // collapse into one plane.
-            let mut groups: Vec<(Vec<u64>, Vec<usize>)> = Vec::new();
-            for c in 0..n_contexts {
-                let key = site_tables[site][c].clone();
-                match groups.iter_mut().find(|(k2, _)| *k2 == key) {
-                    Some((_, cs)) => cs.push(c),
-                    None => groups.push((key, vec![c])),
-                }
-            }
-            if groups.len() > p_max {
-                return Err(CompileError::PlaneOverflow {
-                    lb: site,
-                    needed: groups.len(),
-                    available: p_max,
-                });
-            }
-            let mut plane_of_context = vec![0usize; n_contexts];
-            for (p, (_, cs)) in groups.iter().enumerate() {
-                for &c in cs {
-                    plane_of_context[c] = p;
-                }
-            }
-            let controller = LocalSizeController::new(ctx, &plane_of_context, mode);
-            let mut lb = AdaptiveLogicBlock::new(arch.lut, mode, SizeControl::Local(controller))
-                .expect("mode fits geometry");
-            for (p, (key, _)) in groups.iter().enumerate() {
-                for (slot, &table) in key.iter().enumerate() {
-                    lb.program(slot, p, &TruthTable::from_packed(mode.inputs, table));
-                }
-            }
-            lbs.push(Some(lb));
-        }
-
-        drop(_lb_span);
-
-        let states: Vec<Vec<bool>> = mapped.iter().map(|m| m.initial_state().bits).collect();
-        let n_programmed = mapped.len();
-        Ok(MultiDevice {
-            arch: arch.clone(),
-            ctx,
-            mapped,
-            problems,
-            placements,
-            routed,
-            graph,
-            usage,
-            lbs,
-            site_of,
-            states,
-            active: 0,
-            kernels: vec![None; n_programmed],
-            kernel_options,
-            batch_regs: vec![Vec::new(); n_programmed],
-            batch_synced: vec![false; n_programmed],
-            batch_scratch: KernelScratch::new(),
-            scratch_lut_vals: Vec::new(),
-            scratch_in_bits: Vec::new(),
-            scratch_next: Vec::new(),
-            recorder: rec.clone(),
-            reconfig_meta: None,
-            probes: (0..n_programmed).map(|_| None).collect(),
-            census: None,
-            switch_count: 0,
-            switch_bits_flipped: 0,
-        })
+    /// Route simulation telemetry (`sim_kernel_build` spans, `sim.cycles` /
+    /// `sim.words` counters) into `rec` for all later stepping.
+    pub fn attach_recorder(&mut self, rec: &Recorder) {
+        self.recorder = rec.clone();
     }
 
     pub fn arch(&self) -> &ArchSpec {
         &self.arch
-    }
-
-    /// Number of programmed contexts.
-    pub fn n_circuits(&self) -> usize {
-        self.mapped.len()
     }
 
     pub fn active_context(&self) -> usize {
@@ -862,12 +859,7 @@ impl MultiDevice {
 
     /// Switch the active context, reporting an unprogrammed context in-band.
     pub fn try_switch_context(&mut self, context: usize) -> Result<(), SimError> {
-        if context >= self.mapped.len() {
-            return Err(SimError::ContextNotProgrammed {
-                context,
-                programmed: self.mapped.len(),
-            });
-        }
+        self.check_context(context)?;
         if context != self.active {
             self.recorder.incr("sim.context_switches", 1);
             // Energy accounting needs the per-context switch bitstreams;
@@ -929,63 +921,59 @@ impl MultiDevice {
 
     /// One clock cycle in the active context, reporting an input-arity
     /// mismatch in-band instead of aborting the process.
+    ///
+    /// This is the hardware-model reference: LUT positions evaluate in
+    /// topological (emission) order, each value pulled through its physical
+    /// logic block on lane 0 of the register file, and the next state is
+    /// written back to every lane.
     pub fn try_step(&mut self, inputs: &[bool]) -> Result<Vec<bool>, SimError> {
         let c = self.active;
-        let m = &self.mapped[c];
-        if inputs.len() != m.n_inputs {
-            return Err(SimError::InputArity {
-                context: c,
-                expected: m.n_inputs,
-                got: inputs.len(),
-            });
-        }
+        self.check_arity(c, inputs.len())?;
         self.recorder.incr("sim.steps", 1);
         self.recorder.incr("sim.cycles", 1);
+        let file = self.reg_file[c];
+        let m = &self.mapped[c];
         // Persistent scratch: the only allocation left is the returned
         // output vector.
-        let n_luts = self.mapped[c].luts.len();
         let mut lut_vals = std::mem::take(&mut self.scratch_lut_vals);
         let mut in_bits = std::mem::take(&mut self.scratch_in_bits);
         lut_vals.clear();
-        lut_vals.resize(n_luts, false);
-        for i in 0..n_luts {
+        lut_vals.resize(m.luts.len(), false);
+        for (i, lut) in m.luts.iter().enumerate() {
             in_bits.clear();
             in_bits.extend(
-                self.mapped[c].luts[i]
-                    .inputs
+                lut.inputs
                     .iter()
-                    .map(|s| self.resolve(c, *s, inputs, &lut_vals)),
+                    .map(|&s| self.resolve(file, s, inputs, &lut_vals)),
             );
-            let (site, slot) = self.site_of[c][i];
-            let lb = self.lbs[site].as_ref().expect("used site has an LB");
-            lut_vals[i] = lb.output(self.ctx, c, &in_bits, slot);
+            let (lb, slot) = self.site_of[c][i];
+            lut_vals[i] = self.lbs[lb].output(self.ctx, c, &in_bits, slot);
         }
-        let m = &self.mapped[c];
         let outs: Vec<bool> = m
             .outputs
             .iter()
-            .map(|(_, s)| self.resolve(c, *s, inputs, &lut_vals))
+            .map(|(_, s)| self.resolve(file, *s, inputs, &lut_vals))
             .collect();
         let mut next = std::mem::take(&mut self.scratch_next);
         next.clear();
         next.extend(
-            self.mapped[c]
-                .dffs
+            m.dffs
                 .iter()
-                .map(|d| self.resolve(c, d.d, inputs, &lut_vals)),
+                .map(|d| lane_word(self.resolve(file, d.d, inputs, &lut_vals))),
         );
-        std::mem::swap(&mut self.states[c], &mut next);
+        std::mem::swap(&mut self.states[file], &mut next);
         self.scratch_next = next;
+        if let Some(census) = self.census.as_mut() {
+            census.record_lane(c, file, &lut_vals);
+        }
         self.scratch_lut_vals = lut_vals;
         self.scratch_in_bits = in_bits;
-        self.batch_synced[c] = false;
         Ok(outs)
     }
 
     /// One clock edge over [`LANES`] independent stimulus lanes in the
     /// active context: bit `l` of every input, output, and register word is
-    /// one complete stimulus stream. Lane 0 is bit-for-bit the scalar path
-    /// and is written back to the scalar state after every batched step.
+    /// one complete stimulus stream.
     ///
     /// Panicking `#[inline]` convenience wrapper over the canonical
     /// [`MultiDevice::try_step_batch`].
@@ -1011,67 +999,86 @@ impl MultiDevice {
         out: &mut Vec<u64>,
     ) -> Result<(), SimError> {
         let c = self.active;
-        let n_inputs = self.mapped[c].n_inputs;
-        if inputs.len() != n_inputs {
-            return Err(SimError::InputArity {
-                context: c,
-                expected: n_inputs,
-                got: inputs.len(),
-            });
-        }
-        self.ensure_kernel(c, self.want_optimized(c));
-        if !self.batch_synced[c] {
-            // The context's scalar state moved since its last batched step:
-            // every lane resumes from the same registers.
-            kernel::broadcast(&self.states[c], &mut self.batch_regs[c]);
-            self.batch_synced[c] = true;
-        }
+        self.check_arity(c, inputs.len())?;
+        self.ensure_kernel(c);
+        let file = self.reg_file[c];
         // Register probes report the in-cycle (pre-edge) values — what the
         // outputs and downstream logic saw — so snapshot before the kernel
         // commits the next state in place. One branch when disarmed.
         if let Some(probes) = self.probes[c].as_mut() {
-            probes.snapshot_regs(&self.batch_regs[c]);
+            probes.snapshot_regs(&self.states[file]);
         }
-        let kernel = self.kernels[c].as_ref().expect("kernel built above");
-        kernel.step(
-            inputs,
-            &mut self.batch_regs[c],
-            &mut self.batch_scratch,
-            out,
-        );
-        // Lane 0 writes back so the scalar view stays coherent.
-        kernel::extract_lane(&self.batch_regs[c], 0, &mut self.states[c]);
+        let kernel = &self.kernels[c].as_ref().expect("kernel built above").1;
+        kernel.step(inputs, &mut self.states[file], &mut self.scratch, out);
         // Observability taps, each one branch when disarmed: the census
         // reads the LUT words the kernel just computed, probes record
         // inputs / pre-edge registers / LUT outputs into their rings.
         if let Some(census) = self.census.as_mut() {
-            census.record(c, &self.batch_scratch.lut_words);
+            census.record(c, file, &self.scratch.lut_words);
         }
         if let Some(probes) = self.probes[c].as_mut() {
-            probes.sample(inputs, &self.batch_scratch.lut_words);
+            probes.sample(inputs, &self.scratch.lut_words);
         }
         self.recorder.incr("sim.words", 1);
         self.recorder.incr("sim.cycles", LANES as u64);
         Ok(())
     }
 
-    /// Lower `context` to a fresh instruction stream: the mapped netlist
-    /// gives sources and emission (= topological) order, the logic blocks
-    /// give each position's active plane and packed truth table.
+    /// Lower `context` to a fresh, unoptimized instruction stream: the
+    /// mapped netlist gives sources and emission (= topological) order, the
+    /// logic blocks give each position's active plane and its packed truth
+    /// table as the hardware currently holds it — faults included.
     fn build_kernel(&self, context: usize) -> CompiledKernel {
         let m = &self.mapped[context];
         CompiledKernel::build(
             m.n_inputs,
             m.dffs.len(),
-            m.luts.iter().enumerate().map(|(i, lut)| {
-                let (site, slot) = self.site_of[context][i];
-                let lb = self.lbs[site].as_ref().expect("used site has an LB");
-                let plane = lb.active_plane(self.ctx, context);
-                (lut.inputs.as_slice(), lb.plane_packed(slot, plane))
-            }),
+            m.luts
+                .iter()
+                .zip(&self.site_of[context])
+                .map(|(lut, &(lb, slot))| {
+                    let block = &self.lbs[lb];
+                    let plane = block.active_plane(self.ctx, context);
+                    (lut.inputs.as_slice(), block.plane_packed(slot, plane))
+                }),
             m.outputs.iter().map(|(_, s)| *s),
             m.dffs.iter().map(|d| d.d),
         )
+    }
+
+    /// Every context's kernel, freshly lowered and always *unoptimized*:
+    /// the fault campaign flips table bits on clones addressed by
+    /// pre-optimization LUT positions, instead of mutating the device.
+    pub(crate) fn compiled_kernels(&self) -> Vec<CompiledKernel> {
+        (0..self.n_contexts())
+            .map(|c| self.build_kernel(c))
+            .collect()
+    }
+
+    /// Every `(context, LUT position)` whose compiled-kernel table images
+    /// the given LUT-memory fault: positions mapped onto
+    /// (`fault.lb`, `fault.output`) in contexts whose active plane is
+    /// `fault.plane`.
+    pub(crate) fn fault_kernel_sites(&self, fault: &crate::LutFault) -> Vec<(usize, usize)> {
+        let mut sites = Vec::new();
+        for (c, positions) in self.site_of.iter().enumerate() {
+            if self.lbs[fault.lb].active_plane(self.ctx, c) != fault.plane {
+                continue;
+            }
+            for (i, &pos) in positions.iter().enumerate() {
+                if pos == (fault.lb, fault.output) {
+                    sites.push((c, i));
+                }
+            }
+        }
+        sites
+    }
+
+    /// Mutable logic-block access (fault injection). Any access is assumed
+    /// to mutate configuration, so cached compiled kernels invalidate.
+    pub(crate) fn lb_mut(&mut self, lb: usize) -> &mut AdaptiveLogicBlock {
+        self.config_epoch += 1;
+        &mut self.lbs[lb]
     }
 
     /// Throughput-mode batched run: drive `context` through a whole stimulus
@@ -1100,11 +1107,11 @@ impl MultiDevice {
     /// returned buffer has the same shape over the context's outputs:
     /// `out[(t * n_outputs + o) * width + w]`.
     ///
-    /// Every lane starts from the context's current scalar register state
+    /// Every lane starts from lane 0 of the context's register file
     /// (broadcast), and — unlike [`MultiDevice::step_batch`] — the run does
     /// **not** write state back: this is the "no mid-batch feedback
     /// observation" streaming mode, a pure function of the stimulus that
-    /// leaves the device's scalar and batched state untouched.
+    /// leaves the device's register state untouched.
     ///
     /// With `threads > 1` (and no probes or census armed) the chunk stream
     /// is split into one block per worker and fanned across the compile
@@ -1153,12 +1160,13 @@ impl MultiDevice {
         }
         let n_chunks = stimulus.len() / chunk_words;
         let observed = self.census.is_some() || self.probes[c].is_some();
-        self.ensure_kernel(c, self.want_optimized(c));
-        let kernel = self.kernels[c].take().expect("kernel built above");
+        self.ensure_kernel(c);
+        let (epoch, kernel) = self.kernels[c].take().expect("kernel built above");
         let n_outputs = kernel.n_outputs();
-        // Every lane starts from the scalar register state.
+        let file = self.reg_file[c];
+        // Every lane starts from lane 0 of the register file.
         let mut regs = Vec::new();
-        kernel::broadcast_wide(&self.states[c], &mut regs, W);
+        kernel::broadcast_wide(&self.registers(c), &mut regs, W);
         // `threads` is an explicit caller knob (bench cells sweep it), so it
         // is honored even past `available_parallelism` — oversubscription
         // just timeslices, and the block-split path stays exercised on small
@@ -1222,7 +1230,7 @@ impl MultiDevice {
             out
         } else {
             let mut out = vec![0u64; n_chunks * n_outputs * W];
-            let mut scratch = std::mem::take(&mut self.batch_scratch);
+            let mut scratch = std::mem::take(&mut self.scratch);
             let mut step_out = Vec::with_capacity(n_outputs * W);
             for t in 0..n_chunks {
                 let stim = &stimulus[t * chunk_words..][..chunk_words];
@@ -1232,16 +1240,16 @@ impl MultiDevice {
                 kernel.step_wide::<W>(stim, &mut regs, &mut scratch, &mut step_out);
                 out[t * n_outputs * W..][..n_outputs * W].copy_from_slice(&step_out);
                 if let Some(census) = self.census.as_mut() {
-                    census.record_wide(c, &scratch.lut_words, W);
+                    census.record_wide(c, file, &scratch.lut_words, W);
                 }
                 if let Some(probes) = self.probes[c].as_mut() {
                     probes.sample_wide(stim, &scratch.lut_words, W);
                 }
             }
-            self.batch_scratch = scratch;
+            self.scratch = scratch;
             out
         };
-        self.kernels[c] = Some(kernel);
+        self.kernels[c] = Some((epoch, kernel));
         self.recorder
             .incr("sim.throughput_words", (n_chunks * W) as u64);
         self.recorder
@@ -1249,22 +1257,26 @@ impl MultiDevice {
         Ok(out)
     }
 
-    fn resolve(&self, c: usize, src: MappedSource, inputs: &[bool], lut_vals: &[bool]) -> bool {
+    fn resolve(&self, file: usize, src: MappedSource, inputs: &[bool], lut_vals: &[bool]) -> bool {
         match src {
             MappedSource::Input(i) => inputs[i],
-            MappedSource::Register(r) => self.states[c][r],
+            MappedSource::Register(r) => self.states[file][r] & 1 == 1,
             MappedSource::Lut(l) => lut_vals[l],
             MappedSource::Const(v) => v,
         }
     }
 
-    /// Read a context's register state (temporal execution shuttles the
-    /// shared transfer file through here).
-    pub fn registers(&self, context: usize) -> &[bool] {
-        &self.states[context]
+    /// `context`'s register state on lane 0 (temporal execution shuttles
+    /// the shared transfer file through here).
+    pub fn registers(&self, context: usize) -> Vec<bool> {
+        self.states[self.reg_file[context]]
+            .iter()
+            .map(|w| w & 1 == 1)
+            .collect()
     }
 
-    /// Number of programmed contexts.
+    /// Number of programmed contexts (aligned workloads are padded to every
+    /// device context).
     pub fn n_contexts(&self) -> usize {
         self.mapped.len()
     }
@@ -1295,8 +1307,11 @@ impl MultiDevice {
     /// asks for it and no probes or census are armed.
     pub fn kernel(&mut self, context: usize) -> Result<&CompiledKernel, SimError> {
         self.check_context(context)?;
-        self.ensure_kernel(context, self.want_optimized(context));
-        Ok(self.kernels[context].as_ref().expect("kernel built above"))
+        self.ensure_kernel(context);
+        Ok(&self.kernels[context]
+            .as_ref()
+            .expect("kernel built above")
+            .1)
     }
 
     /// Current kernel lowering knobs.
@@ -1305,7 +1320,8 @@ impl MultiDevice {
     }
 
     /// Change the kernel lowering knobs after compile. Cached kernels of the
-    /// wrong variant are rebuilt lazily on their next use.
+    /// wrong variant are rebuilt lazily on their next use; the configuration
+    /// epoch is untouched, so an unchanged variant keeps its cache.
     pub fn set_kernel_options(&mut self, options: KernelOptions) {
         self.kernel_options = options;
     }
@@ -1318,27 +1334,24 @@ impl MultiDevice {
         Ok(self.build_kernel(context).optimize_with_stats().1)
     }
 
-    /// Should `context`'s kernel be optimized right now? Only when the
-    /// options ask for it *and* nothing that addresses pre-optimization LUT
-    /// positions (armed probes, the activity census) is watching.
-    fn want_optimized(&self, context: usize) -> bool {
-        self.kernel_options.optimize && self.census.is_none() && self.probes[context].is_none()
-    }
-
-    /// Make the cached kernel for `context` exist in the wanted variant.
-    fn ensure_kernel(&mut self, context: usize, optimized: bool) {
-        let stale = match &self.kernels[context] {
-            Some(k) => k.optimized() != optimized,
-            None => true,
-        };
-        if stale {
-            let _span = self.recorder.span("sim_kernel_build");
-            let mut kernel = self.build_kernel(context);
-            if optimized {
-                kernel = kernel.optimize();
+    /// Make `context`'s cached kernel current: lowered against the present
+    /// configuration epoch, and optimized exactly when the options ask for
+    /// it *and* nothing that addresses pre-optimization LUT positions
+    /// (armed probes, the activity census) is watching.
+    fn ensure_kernel(&mut self, context: usize) {
+        let optimized =
+            self.kernel_options.optimize && self.census.is_none() && self.probes[context].is_none();
+        if let Some((epoch, k)) = &self.kernels[context] {
+            if *epoch == self.config_epoch && k.optimized() == optimized {
+                return;
             }
-            self.kernels[context] = Some(kernel);
         }
+        let _span = self.recorder.span("sim_kernel_build");
+        let mut kernel = self.build_kernel(context);
+        if optimized {
+            kernel = kernel.optimize();
+        }
+        self.kernels[context] = Some((self.config_epoch, kernel));
     }
 
     fn check_context(&self, context: usize) -> Result<(), SimError> {
@@ -1351,7 +1364,19 @@ impl MultiDevice {
         Ok(())
     }
 
-    /// Overwrite a context's register state.
+    fn check_arity(&self, context: usize, got: usize) -> Result<(), SimError> {
+        let expected = self.mapped[context].n_inputs;
+        if got != expected {
+            return Err(SimError::InputArity {
+                context,
+                expected,
+                got,
+            });
+        }
+        Ok(())
+    }
+
+    /// Overwrite a context's register state on every lane.
     ///
     /// Panicking `#[inline]` convenience wrapper over the canonical
     /// [`MultiDevice::try_set_registers`]; use the fallible form on
@@ -1362,75 +1387,52 @@ impl MultiDevice {
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Overwrite a context's register state, reporting a bad context index
-    /// or register-count mismatch in-band.
+    /// Overwrite a context's register state on every lane, reporting a bad
+    /// context index or register-count mismatch in-band.
     pub fn try_set_registers(&mut self, context: usize, bits: &[bool]) -> Result<(), SimError> {
-        if context >= self.states.len() {
-            return Err(SimError::ContextNotProgrammed {
-                context,
-                programmed: self.states.len(),
-            });
-        }
-        if bits.len() != self.states[context].len() {
-            return Err(SimError::RegisterCount {
-                context,
-                expected: self.states[context].len(),
-                got: bits.len(),
-            });
-        }
-        self.states[context].copy_from_slice(bits);
-        self.batch_synced[context] = false;
-        Ok(())
+        let words: Vec<u64> = bits.iter().map(|&b| lane_word(b)).collect();
+        self.try_set_lane_registers(context, &words)
     }
 
     /// Read `context`'s register state as 64-lane batch words (one `u64`
     /// per register, one stimulus lane per bit) — the context-extraction
-    /// half of a checkpoint/migration protocol. When the context has only
-    /// been stepped scalar, the scalar state is broadcast across all lanes,
-    /// exactly as [`MultiDevice::try_step_batch`] would seed them.
+    /// half of a checkpoint/migration protocol.
     pub fn lane_registers(&self, context: usize) -> Result<Vec<u64>, SimError> {
         self.check_context(context)?;
-        if self.batch_synced[context] {
-            Ok(self.batch_regs[context].clone())
-        } else {
-            let mut words = Vec::new();
-            kernel::broadcast(&self.states[context], &mut words);
-            Ok(words)
-        }
+        Ok(self.states[self.reg_file[context]].clone())
     }
 
     /// Overwrite `context`'s register state from 64-lane batch words — the
     /// context-restoration half: a state extracted with
     /// [`MultiDevice::lane_registers`] on one device resumes bit-identically
-    /// on another device compiled from the same request. The scalar view
-    /// ([`MultiDevice::registers`]) tracks lane 0, matching what a batch
-    /// step leaves behind.
+    /// on another device compiled from the same request.
     pub fn try_set_lane_registers(
         &mut self,
         context: usize,
         words: &[u64],
     ) -> Result<(), SimError> {
         self.check_context(context)?;
-        if words.len() != self.states[context].len() {
+        let regs = &mut self.states[self.reg_file[context]];
+        if words.len() != regs.len() {
             return Err(SimError::RegisterCount {
                 context,
-                expected: self.states[context].len(),
+                expected: regs.len(),
                 got: words.len(),
             });
         }
-        self.batch_regs[context].clear();
-        self.batch_regs[context].extend_from_slice(words);
-        self.batch_synced[context] = true;
-        kernel::extract_lane(&self.batch_regs[context], 0, &mut self.states[context]);
+        regs.copy_from_slice(words);
         Ok(())
     }
 
-    /// Reset every context's registers.
+    /// Reset every register file to its power-on state and clear the
+    /// activity census counters.
     pub fn reset(&mut self) {
-        for (m, s) in self.mapped.iter().zip(&mut self.states) {
-            *s = m.initial_state().bits;
+        for (words, m) in self.states.iter_mut().zip(&self.mapped) {
+            *words = initial_words(m);
         }
-        self.batch_synced.iter_mut().for_each(|b| *b = false);
+        if let Some(census) = self.census.as_mut() {
+            *census = ActivityCensus::new(self.mapped.len());
+        }
     }
 
     /// Per-switch usage across contexts (real mixed columns).
@@ -1451,14 +1453,24 @@ impl MultiDevice {
             .collect()
     }
 
+    /// Configuration bits that change when switching `from` -> `to`
+    /// (switch columns only): what a context switch costs dynamically.
+    pub fn context_switch_toggles(&self, from: usize, to: usize) -> usize {
+        self.usage
+            .columns()
+            .iter()
+            .filter(|c| c.value_in(from) != c.value_in(to))
+            .count()
+    }
+
     /// The routing-switch bitstream.
     pub fn switch_bitstream(&self) -> Bitstream {
         self.usage.to_bitstream(&self.graph, &self.arch)
     }
 
-    /// Verify per-context net connectivity from switch state (as
-    /// [`crate::Device::check_routing`], but per context with that
-    /// context's own nets).
+    /// Verify that every placed net of every context is connected through
+    /// switch state: breadth-first search over cells using only the
+    /// switches that conduct in that context.
     pub fn check_routing(&self) -> Result<(), String> {
         use std::collections::{HashSet, VecDeque};
         for (c, (problem, placement)) in self.problems.iter().zip(&self.placements).enumerate() {
@@ -1492,6 +1504,56 @@ impl MultiDevice {
             }
         }
         Ok(())
+    }
+
+    /// Compile-quality report for the experiments. A LUT site is a (logic
+    /// block, output slot) some context maps a LUT onto; its plane demand is
+    /// the number of distinct truth tables the contexts put there.
+    pub fn report(&self) -> CompileReport {
+        let mut site_tables: std::collections::BTreeMap<(usize, usize), Vec<u64>> =
+            Default::default();
+        for (m, sites) in self.mapped.iter().zip(&self.site_of) {
+            for (lut, &site) in m.luts.iter().zip(sites) {
+                let tables = site_tables.entry(site).or_default();
+                if !tables.contains(&lut.table) {
+                    tables.push(lut.table);
+                }
+            }
+        }
+        let mut plane_histogram = vec![0usize; self.ctx.n_contexts()];
+        for tables in site_tables.values() {
+            plane_histogram[tables.len() - 1] += 1;
+        }
+        let n_luts = site_tables.len();
+        let planes: usize = site_tables.values().map(Vec::len).sum();
+        CompileReport {
+            granularity: self.mapped[0].k,
+            n_luts,
+            n_lbs: self.lbs.len(),
+            mean_planes: if n_luts == 0 {
+                0.0
+            } else {
+                planes as f64 / n_luts as f64
+            },
+            plane_histogram,
+            controller_ses: self.lbs.iter().map(|l| l.controller_se_cost()).sum(),
+            switch_stats: ColumnSetStats::measure(&self.usage.columns(), self.ctx),
+            routing_iterations: self.routed.iter().map(|r| r.iterations).max().unwrap_or(0),
+            critical_delay: self.critical_delay(),
+        }
+    }
+
+    /// Number of physical logic blocks in use.
+    pub fn n_lbs(&self) -> usize {
+        self.lbs.len()
+    }
+
+    /// The LUT mode every logic block runs in.
+    pub fn lb_mode(&self) -> LutMode {
+        self.lbs.first().map(|lb| lb.mode()).unwrap_or(LutMode {
+            inputs: self.arch.lut.min_inputs,
+            planes: 1,
+        })
     }
 
     /// Routing statistics per programmed context.
@@ -1585,9 +1647,10 @@ impl MultiDevice {
         ))
     }
 
-    /// Start per-LUT activity accounting on the batched path (idempotent;
-    /// counters persist until the device is dropped). Also enables
-    /// context-switch energy accounting even without a recorder.
+    /// Start per-LUT activity accounting (idempotent; counters persist
+    /// until [`MultiDevice::reset`]). Batched steps count every lane, a
+    /// scalar step counts one lane-cycle. Also enables context-switch
+    /// energy accounting even without a recorder.
     pub fn enable_activity_census(&mut self) {
         if self.census.is_none() {
             self.census = Some(ActivityCensus::new(self.mapped.len()));
@@ -1596,7 +1659,7 @@ impl MultiDevice {
 
     /// Activity census of `context`: per-LUT toggles, static probability,
     /// and the `toggle_rate × fanout` power proxy. All-zero (and NaN-free)
-    /// when the census is disabled or the context never stepped batched.
+    /// when the census is disabled or the context never stepped.
     pub fn activity_census(&self, context: usize) -> Result<ActivityReport, SimError> {
         self.check_context(context)?;
         let m = &self.mapped[context];
@@ -1606,8 +1669,9 @@ impl MultiDevice {
         })
     }
 
-    /// Mean per-LUT toggle rate of `context` on the batched path; 0.0
-    /// (never NaN) for zero-cycle, zero-LUT, or census-disabled devices.
+    /// Mean per-LUT toggle rate of `context` — the activity factor a
+    /// dynamic-power estimate multiplies with; 0.0 (never NaN) for
+    /// zero-cycle, zero-LUT, or census-disabled devices.
     pub fn toggle_rate(&self, context: usize) -> f64 {
         match &self.census {
             Some(census) if context < self.mapped.len() => census.toggle_rate(context),

@@ -308,16 +308,19 @@ pub fn captures_to_waveform(
     w
 }
 
-/// Per-LUT toggle/level accounting for one device, updated on the batched
-/// path only (each step adds [`LANES`] lane-cycles to the active context).
+/// Per-LUT toggle/level accounting for one device: a batched step adds
+/// [`LANES`] (or `64 * w`) lane-cycles to the active context, a scalar
+/// step adds one.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ActivityCensus {
-    /// `[context][lut]` — lane-summed output toggles, counted against the
-    /// context's previous batched word (starting from all-zero, matching
-    /// [`crate::Device`]'s toggle accounting).
+    /// `[context][lut]` — lane-summed output toggles.
     toggles: Vec<Vec<u64>>,
     /// `[context][lut]` — lane-cycles the output was high.
     ones: Vec<Vec<u64>>,
+    /// `[register file]` — the LUT words toggles count against, starting
+    /// all-zero (a fabric never has more register files than contexts).
+    /// Contexts sharing a register file (an aligned fabric) share the
+    /// baseline, so the toggles a context switch causes count too.
     prev: Vec<Vec<u64>>,
     lane_cycles: Vec<u64>,
 }
@@ -332,8 +335,8 @@ impl ActivityCensus {
         }
     }
 
-    pub(crate) fn record(&mut self, c: usize, lut_words: &[u64]) {
-        self.record_wide(c, lut_words, 1);
+    pub(crate) fn record(&mut self, c: usize, file: usize, lut_words: &[u64]) {
+        self.count(c, file, lut_words, 1, !0);
     }
 
     /// As [`ActivityCensus::record`] at chunk width `w`: `lut_words` holds
@@ -342,24 +345,42 @@ impl ActivityCensus {
     /// previous-word baseline is per (LUT, chunk word); if the observed
     /// width changes between steps the baseline restarts at all-zero,
     /// matching the first-step convention.
-    pub(crate) fn record_wide(&mut self, c: usize, lut_words: &[u64], w: usize) {
+    pub(crate) fn record_wide(&mut self, c: usize, file: usize, lut_words: &[u64], w: usize) {
+        self.count(c, file, lut_words, w, !0);
+    }
+
+    /// A scalar step: lane 0's LUT values count one lane-cycle, then become
+    /// the file's baseline on every lane (the step wrote lane 0's state to
+    /// all of them).
+    pub(crate) fn record_lane(&mut self, c: usize, file: usize, lut_vals: &[bool]) {
+        let words: Vec<u64> = lut_vals
+            .iter()
+            .map(|&v| crate::multi::lane_word(v))
+            .collect();
+        self.count(c, file, &words, 1, 1);
+    }
+
+    /// Count the `lanes`-masked bits of `w`-word chunks against the file's
+    /// baseline, then make them the new baseline.
+    fn count(&mut self, c: usize, file: usize, lut_words: &[u64], w: usize, lanes: u64) {
         let total = lut_words.len();
         let n = total / w;
-        if self.prev[c].len() != total {
-            self.prev[c].clear();
-            self.prev[c].resize(total, 0);
+        let prev = &mut self.prev[file];
+        if prev.len() != total {
+            prev.clear();
+            prev.resize(total, 0);
         }
         self.toggles[c].resize(n, 0);
         self.ones[c].resize(n, 0);
         for i in 0..n {
             for k in 0..w {
                 let word = lut_words[i * w + k];
-                self.toggles[c][i] += (self.prev[c][i * w + k] ^ word).count_ones() as u64;
-                self.ones[c][i] += word.count_ones() as u64;
-                self.prev[c][i * w + k] = word;
+                self.toggles[c][i] += ((prev[i * w + k] ^ word) & lanes).count_ones() as u64;
+                self.ones[c][i] += (word & lanes).count_ones() as u64;
+                prev[i * w + k] = word;
             }
         }
-        self.lane_cycles[c] += (LANES * w) as u64;
+        self.lane_cycles[c] += (lanes.count_ones() as usize * w) as u64;
     }
 
     /// Roll context `c`'s counters into a report against `m` (for fanout).
@@ -576,8 +597,8 @@ mod tests {
     #[test]
     fn census_counts_toggles_and_ones_per_lut() {
         let mut census = ActivityCensus::new(1);
-        census.record(0, &[u64::MAX, 0]);
-        census.record(0, &[0, 0]);
+        census.record(0, 0, &[u64::MAX, 0]);
+        census.record(0, 0, &[0, 0]);
         // LUT 0: 64 rising then 64 falling toggles, 64 high lane-cycles.
         assert_eq!(census.toggles[0][0], 128);
         assert_eq!(census.ones[0][0], 64);

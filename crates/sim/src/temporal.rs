@@ -27,7 +27,7 @@ impl<'a> FabricTemporalExecutor<'a> {
     /// in stage order (see [`MultiDevice::compile_mapped`]).
     pub fn new(device: &'a mut MultiDevice, design: TemporalDesign) -> Self {
         assert_eq!(
-            device.n_circuits(),
+            device.n_contexts(),
             design.stages.len(),
             "device contexts must be the design's stages"
         );

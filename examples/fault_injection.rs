@@ -20,7 +20,7 @@ fn main() {
     // Part 1: a targeted upset in live logic is always visible.
     println!("targeted upset in live logic:");
     let circuits = vec![library::parity(8); 4];
-    let mut dev = Device::compile(&arch, &circuits).expect("compile");
+    let mut dev = MultiDevice::compile_aligned(&arch, &circuits).expect("compile");
     let fault = LutFault {
         lb: 0,
         output: 0,
@@ -40,7 +40,7 @@ fn main() {
     // Part 2: an upset on a dormant plane can never be observed.
     println!("upset on a dormant plane (fully shared workload uses plane 0 only):");
     let adders = vec![library::adder(4); 4];
-    let mut dev = Device::compile(&arch, &adders).expect("compile");
+    let mut dev = MultiDevice::compile_aligned(&arch, &adders).expect("compile");
     dev.inject_lut_fault(LutFault {
         lb: 0,
         output: 0,
@@ -65,7 +65,7 @@ fn main() {
         0.1,
         77,
     );
-    let mut dev = Device::compile(&arch, &w).expect("compile");
+    let mut dev = MultiDevice::compile_aligned(&arch, &w).expect("compile");
     let report = lut_fault_campaign(&mut dev, &w, 60, 150, 42);
     println!(
         "  injected {}  detected {}  silent {}  (rate {:.0}%)",
@@ -76,5 +76,5 @@ fn main() {
     );
     println!("  silent upsets hide in unused planes and unexercised LUT rows;");
     println!("  structural upsets (routing switches, RCM decoders) are caught");
-    println!("  without stimulus by Device::check_routing.");
+    println!("  without stimulus by MultiDevice::check_routing.");
 }

@@ -47,9 +47,10 @@ When the baseline carries a "probe" section, a fresh BENCH_probe.json is
 gated on the observability contract: zero divergences between armed probe
 captures and per-lane scalar replays (probing must never change what the
 kernel computes), the disabled-probe throughput may not fall below the
-baseline floor fraction of the same run's plain batched throughput from
-BENCH_sim.json (disarmed probes must stay effectively free), and the
-seeded activity census must reproduce its per-context LUT ranking exactly.
+baseline floor fraction of the never-probed twin device timed in the same
+run with interleaved trials (disarmed probes must stay effectively free),
+and the seeded activity census must reproduce its per-context LUT ranking
+exactly.
 
 When the baseline carries a "shard" section, a fresh BENCH_shard.json is
 gated on the scale-out serving contract: the kill must have actually cost
@@ -380,17 +381,16 @@ def main() -> int:
                     f"(must be {probe_base['max_divergences']}: probe captures "
                     f"must match the scalar replay bit-for-bit)")
             # Disarmed probes must stay effectively free: the disabled-path
-            # throughput is held against the plain batched kernel throughput
-            # measured in the same CI run (BENCH_sim.json, same runner).
-            if sim is not None:
-                floor = probe_base["disabled_overhead_floor"]
-                plain = sim["batched_vectors_per_sec"]
-                got = probe["probe_disabled_vectors_per_sec"]
-                if got < floor * plain:
-                    errors.append(
-                        f"probe.probe_disabled_vectors_per_sec: {got:.0f}/s "
-                        f"< {floor:.0%} of the same run's plain batched "
-                        f"{plain:.0f}/s (disabled probes are no longer free)")
+            # throughput is held against a never-probed twin device whose
+            # trials the same process interleaved with the disabled path's.
+            floor = probe_base["disabled_overhead_floor"]
+            plain = probe["plain_batched_vectors_per_sec"]
+            got = probe["probe_disabled_vectors_per_sec"]
+            if got < floor * plain:
+                errors.append(
+                    f"probe.probe_disabled_vectors_per_sec: {got:.0f}/s "
+                    f"< {floor:.0%} of the same run's never-probed twin "
+                    f"{plain:.0f}/s (disabled probes are no longer free)")
             # The census run is fully seeded and counts toggles in integer
             # bit arithmetic: the activity ranking must reproduce exactly.
             want_ranks = {r["context"]: r["top_luts"]

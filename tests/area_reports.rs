@@ -7,7 +7,6 @@ use mcfpga::area::{
 };
 use mcfpga::netlist::{workload, RandomNetlistParams};
 use mcfpga::prelude::*;
-use mcfpga::sim::Device;
 
 #[test]
 fn headline_ratios_match_the_paper_region() {
@@ -56,7 +55,7 @@ fn measured_device_ratio_is_consistent() {
     let params = AreaParams::paper_default();
     let weights = FabricWeights::default();
     let w = workload(RandomNetlistParams::default(), 4, 0.05, 321);
-    let dev = Device::compile(&arch, &w).unwrap();
+    let dev = MultiDevice::compile_aligned(&arch, &w).unwrap();
     for tech in [Technology::Cmos, Technology::Fepg] {
         let measured = measured_area_comparison(&dev, tech, &params, &weights);
         assert!(measured.ratio > 0.0 && measured.ratio < 1.0);

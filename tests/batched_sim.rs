@@ -6,18 +6,25 @@
 
 use mcfpga::netlist::{library, random_netlist, workload, RandomNetlistParams};
 use mcfpga::prelude::*;
-use mcfpga::sim::{KernelOptions, LutFault, LANES};
+use mcfpga::sim::{ActivityReport, KernelOptions, LutFault, LANES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+
+/// One activity-census total summed over every context of `dev`.
+fn census_total(dev: &MultiDevice, total: impl Fn(&ActivityReport) -> u64) -> u64 {
+    (0..dev.n_contexts())
+        .map(|c| total(&dev.activity_census(c).unwrap()))
+        .sum()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Aligned-workload device: a batched run over random context switches
     /// (word boundaries, all lanes together) equals 64 scalar replays, lane
-    /// by lane, outputs and toggle accounting both — with and without an
-    /// injected LUT fault.
+    /// by lane, outputs and census toggle accounting both — with and without
+    /// an injected LUT fault.
     #[test]
     fn device_batched_matches_scalar_on_all_lanes(
         seed in 0u64..10_000,
@@ -36,7 +43,8 @@ proptest! {
             0.2,
             seed,
         );
-        let mut dev = Device::compile(&arch, &w).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch, &w).unwrap();
+        dev.enable_activity_census();
         if inject {
             dev.inject_lut_fault(LutFault { lb: 0, output: 0, plane: 0, assignment: 1 });
         }
@@ -57,8 +65,8 @@ proptest! {
             dev.switch_context(*c);
             batch_out.push(dev.step_batch(inputs));
         }
-        let batch_toggles = dev.toggles();
-        prop_assert_eq!(dev.cycles(), (words * LANES) as u64);
+        let batch_toggles = census_total(&dev, |r| r.toggles_total);
+        prop_assert_eq!(census_total(&dev, |r| r.lane_cycles), (words * LANES) as u64);
         // Scalar replay, lane by lane, on the same (possibly faulty) device.
         let mut toggle_sum = 0u64;
         for lane in 0..LANES {
@@ -78,7 +86,7 @@ proptest! {
                     );
                 }
             }
-            toggle_sum += dev.toggles();
+            toggle_sum += census_total(&dev, |r| r.toggles_total);
         }
         // The batched popcount accounting equals the sum of its lanes'
         // scalar toggle counts.
@@ -87,11 +95,13 @@ proptest! {
 
     /// Heterogeneous device: independent circuits per context, random
     /// initial register state, random word-boundary context switches —
-    /// batched equals 64 scalar replays on every lane.
+    /// batched equals 64 scalar replays on every lane, with and without an
+    /// injected LUT fault.
     #[test]
     fn multi_batched_matches_scalar_on_all_lanes(
         seed in 0u64..10_000,
         n_ctx in 1usize..=3,
+        inject in any::<bool>(),
     ) {
         let arch = ArchSpec::paper_default();
         let circuits: Vec<Netlist> = (0..n_ctx)
@@ -108,6 +118,9 @@ proptest! {
             })
             .collect();
         let mut dev = MultiDevice::compile(&arch, &circuits).unwrap();
+        if inject {
+            dev.inject_lut_fault(LutFault { lb: 0, output: 0, plane: 0, assignment: 1 });
+        }
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
         let init: Vec<Vec<bool>> = (0..n_ctx)
             .map(|c| (0..dev.registers(c).len()).map(|_| rng.gen_bool(0.5)).collect())
@@ -175,7 +188,7 @@ proptest! {
             0.2,
             seed,
         );
-        let mut dev = Device::compile(&arch, &w).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch, &w).unwrap();
         dev.set_kernel_options(KernelOptions::new().with_optimize(true));
         if inject {
             dev.inject_lut_fault(LutFault { lb: 0, output: 0, plane: 0, assignment: 1 });
@@ -317,7 +330,7 @@ proptest! {
 fn kernel_cache_invalidates_after_fault_injection() {
     let arch = ArchSpec::paper_default();
     let circuits = vec![library::parity(8); 4];
-    let mut dev = Device::compile(&arch, &circuits).unwrap();
+    let mut dev = MultiDevice::compile_aligned(&arch, &circuits).unwrap();
     let mut rng = StdRng::seed_from_u64(42);
     let words: Vec<Vec<u64>> = (0..20)
         .map(|_| (0..8).map(|_| rng.next_u64()).collect())
@@ -360,7 +373,7 @@ fn kernel_cache_invalidates_after_fault_injection() {
 fn optimized_kernel_cache_invalidates_after_fault_injection() {
     let arch = ArchSpec::paper_default();
     let circuits = vec![library::parity(8); 4];
-    let mut dev = Device::compile(&arch, &circuits).unwrap();
+    let mut dev = MultiDevice::compile_aligned(&arch, &circuits).unwrap();
     dev.set_kernel_options(KernelOptions::new().with_optimize(true));
     let mut rng = StdRng::seed_from_u64(42);
     let words: Vec<Vec<u64>> = (0..20)
@@ -381,11 +394,49 @@ fn optimized_kernel_cache_invalidates_after_fault_injection() {
     );
     // The faulty optimized batch agrees with the unoptimized faulty batch:
     // the optimizer folds the *post-fault* tables.
-    let mut plain = Device::compile(&arch, &circuits).unwrap();
+    let mut plain = MultiDevice::compile_aligned(&arch, &circuits).unwrap();
     plain.inject_lut_fault(fault);
     let plain_faulty: Vec<Vec<u64>> = words.iter().map(|w| plain.step_batch(w)).collect();
     assert_eq!(faulty, plain_faulty);
     dev.clear_lut_fault(fault);
     let cleared: Vec<Vec<u64>> = words.iter().map(|w| dev.step_batch(w)).collect();
     assert_eq!(healthy, cleared);
+}
+
+/// Scalar steps resynchronise the lanes: a scalar step advances lane 0 and
+/// writes its next state to every lane, so batched → scalar → batched
+/// stepping equals a batched run restarted from the broadcast of lane 0.
+#[test]
+fn scalar_step_broadcasts_lane_zero_to_every_lane() {
+    let arch = ArchSpec::paper_default();
+    let circuits = vec![library::counter(4), library::lfsr(8, 0x8E)];
+    let mut dev = MultiDevice::compile(&arch, &circuits).unwrap();
+    let mut rng = StdRng::seed_from_u64(31);
+    for (c, circuit) in circuits.iter().enumerate() {
+        let n_in = circuit.inputs().len();
+        let n_regs = dev.registers(c).len();
+        let random_words =
+            |rng: &mut StdRng, n: usize| -> Vec<u64> { (0..n).map(|_| rng.next_u64()).collect() };
+        dev.switch_context(c);
+        // Diverge the lanes: random per-lane registers, then batched steps.
+        let lanes = random_words(&mut rng, n_regs);
+        dev.try_set_lane_registers(c, &lanes).unwrap();
+        for _ in 0..3 {
+            dev.step_batch(&random_words(&mut rng, n_in));
+        }
+        // One scalar step: every lane now holds lane 0's next state.
+        let bits: Vec<bool> = (0..n_in).map(|_| rng.gen_bool(0.5)).collect();
+        dev.step(&bits);
+        let after: Vec<bool> = dev.registers(c).to_vec();
+        let broadcast: Vec<u64> = after.iter().map(|&b| if b { !0 } else { 0 }).collect();
+        assert_eq!(dev.lane_registers(c).unwrap(), broadcast, "context {c}");
+        // Batched again, then the same words from a restart at the broadcast.
+        let tail: Vec<Vec<u64>> = (0..3).map(|_| random_words(&mut rng, n_in)).collect();
+        let resumed: Vec<Vec<u64>> = tail.iter().map(|w| dev.step_batch(w)).collect();
+        let resumed_regs = dev.lane_registers(c).unwrap();
+        dev.set_registers(c, &after);
+        let restarted: Vec<Vec<u64>> = tail.iter().map(|w| dev.step_batch(w)).collect();
+        assert_eq!(resumed, restarted, "context {c}");
+        assert_eq!(resumed_regs, dev.lane_registers(c).unwrap(), "context {c}");
+    }
 }

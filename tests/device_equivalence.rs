@@ -3,7 +3,6 @@
 
 use mcfpga::netlist::{library, workload, RandomNetlistParams};
 use mcfpga::prelude::*;
-use mcfpga::sim::Device;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,7 +20,7 @@ fn long_random_equivalence_run() {
         0.08,
         1234,
     );
-    let mut dev = Device::compile(&arch, &w).unwrap();
+    let mut dev = MultiDevice::compile_aligned(&arch, &w).unwrap();
     check_device_equivalence(&mut dev, &w, 400, 1234).unwrap();
 }
 
@@ -40,7 +39,7 @@ fn equivalence_over_many_seeds() {
             0.1,
             seed,
         );
-        let mut dev = Device::compile(&arch, &w).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch, &w).unwrap();
         check_device_equivalence(&mut dev, &w, 50, seed).unwrap();
     }
 }
@@ -52,7 +51,7 @@ fn sequential_state_is_bit_exact_across_many_switches() {
     let arch = ArchSpec::paper_default();
     let cnt = library::counter(6);
     let contexts = vec![cnt.clone(); 4];
-    let mut dev = Device::compile(&arch, &contexts).unwrap();
+    let mut dev = MultiDevice::compile_aligned(&arch, &contexts).unwrap();
     let mut rng = StdRng::seed_from_u64(55);
     let mut model = 0u64; // software mirror of the register state
     for cycle in 0..200 {
@@ -73,7 +72,7 @@ fn fir_filter_streams_correctly_on_fabric() {
     let arch = ArchSpec::paper_default();
     let fir = library::fir4(4, [1, 2, 1, 0]);
     let contexts = vec![fir.clone(); 4];
-    let mut dev = Device::compile(&arch, &contexts).unwrap();
+    let mut dev = MultiDevice::compile_aligned(&arch, &contexts).unwrap();
     let mut st = fir.initial_state();
     let mut rng = StdRng::seed_from_u64(77);
     for cycle in 0..80 {
@@ -91,7 +90,7 @@ fn alu_all_opcodes_on_fabric() {
     let arch = ArchSpec::paper_default();
     let alu = library::alu(4);
     let contexts = vec![alu.clone(); 4];
-    let mut dev = Device::compile(&arch, &contexts).unwrap();
+    let mut dev = MultiDevice::compile_aligned(&arch, &contexts).unwrap();
     for x in 0..16u64 {
         for op in 0..4u64 {
             let mut inputs: Vec<bool> = (0..4).map(|i| (x >> i) & 1 == 1).collect();

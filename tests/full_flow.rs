@@ -4,15 +4,14 @@
 
 use mcfpga::netlist::{library, workload, RandomNetlistParams};
 use mcfpga::prelude::*;
-use mcfpga::sim::Device;
 
 #[test]
 fn every_library_circuit_compiles_and_verifies_replicated() {
     let arch = ArchSpec::paper_default();
     for circuit in library::benchmark_suite() {
         let contexts = vec![circuit.clone(); 4];
-        let mut dev =
-            Device::compile(&arch, &contexts).unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
+        let mut dev = MultiDevice::compile_aligned(&arch, &contexts)
+            .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
         dev.check_routing()
             .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
         check_device_equivalence(&mut dev, &contexts, 30, 7)
@@ -37,7 +36,7 @@ fn perturbed_workloads_compile_and_verify_across_change_rates() {
             rate,
             seed,
         );
-        let mut dev = Device::compile(&arch, &w).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch, &w).unwrap();
         dev.check_routing().unwrap();
         check_device_equivalence(&mut dev, &w, 60, seed).unwrap();
         let r = dev.report();
@@ -54,8 +53,8 @@ fn plane_demand_tracks_change_rate_end_to_end() {
         n_outputs: 8,
         dff_fraction: 0.0,
     };
-    let low = Device::compile(&arch, &workload(params, 4, 0.02, 9)).unwrap();
-    let high = Device::compile(&arch, &workload(params, 4, 0.35, 9)).unwrap();
+    let low = MultiDevice::compile_aligned(&arch, &workload(params, 4, 0.02, 9)).unwrap();
+    let high = MultiDevice::compile_aligned(&arch, &workload(params, 4, 0.35, 9)).unwrap();
     assert!(
         low.report().mean_planes < high.report().mean_planes,
         "low {} vs high {}",
@@ -106,7 +105,7 @@ fn bigger_grids_and_more_contexts_compile() {
         0.05,
         17,
     );
-    let mut dev = Device::compile(&arch, &w).unwrap();
+    let mut dev = MultiDevice::compile_aligned(&arch, &w).unwrap();
     check_device_equivalence(&mut dev, &w, 40, 17).unwrap();
 }
 
@@ -114,7 +113,7 @@ fn bigger_grids_and_more_contexts_compile() {
 fn workload_larger_than_contexts_is_rejected() {
     let arch = ArchSpec::paper_default().with_contexts(2);
     let w = workload(RandomNetlistParams::default(), 4, 0.05, 3);
-    let result = std::panic::catch_unwind(|| Device::compile(&arch, &w));
+    let result = std::panic::catch_unwind(|| MultiDevice::compile_aligned(&arch, &w));
     assert!(
         result.is_err(),
         "4 contexts on a 2-context device must panic"
@@ -127,8 +126,8 @@ fn extended_library_compiles_and_verifies() {
     let arch = ArchSpec::paper_default();
     for circuit in library2::extended_suite() {
         let contexts = vec![circuit.clone(); 4];
-        let mut dev =
-            Device::compile(&arch, &contexts).unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
+        let mut dev = MultiDevice::compile_aligned(&arch, &contexts)
+            .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
         check_device_equivalence(&mut dev, &contexts, 30, 13)
             .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
     }
@@ -144,7 +143,7 @@ fn adaptive_compile_equivalence_across_the_library() {
         library::gray_encoder(6),
     ] {
         let contexts = vec![circuit.clone(); 4];
-        let mut dev = Device::compile_adaptive(&arch, &contexts).unwrap();
+        let mut dev = MultiDevice::compile_aligned_adaptive(&arch, &contexts).unwrap();
         assert_eq!(
             dev.report().granularity,
             6,
@@ -163,7 +162,7 @@ fn text_format_survives_the_full_flow() {
     let original = library::alu(4);
     let reparsed = from_text(&to_text(&original)).unwrap();
     let contexts = vec![reparsed; 4];
-    let mut dev = Device::compile(&arch, &contexts).unwrap();
+    let mut dev = MultiDevice::compile_aligned(&arch, &contexts).unwrap();
     // Check against the *original* netlist: the text roundtrip must not
     // have changed behaviour.
     let originals = vec![original; 4];
