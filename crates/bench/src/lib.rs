@@ -1,4 +1,21 @@
-//! Shared helpers for the experiment harness and the Criterion benches.
+//! The experiment harness behind the `experiments` binary and the Criterion
+//! benches.
+//!
+//! [`paper`] reproduces the paper's tables and figures. Each gated
+//! experiment ([`flow`], [`sim`], [`serve`], [`serve_obs`], [`delta`],
+//! [`probe`], [`shard`]) has one module holding its run function, its typed
+//! BENCH report, the type of its `BENCH_baseline.json` section and the
+//! report's invariants; [`gate`] checks every report at once.
+
+pub mod delta;
+pub mod flow;
+pub mod gate;
+pub mod paper;
+pub mod probe;
+pub mod serve;
+pub mod serve_obs;
+pub mod shard;
+pub mod sim;
 
 use mcfpga::netlist::{library, Netlist};
 

@@ -96,12 +96,13 @@ proptest! {
     /// Heterogeneous device: independent circuits per context, random
     /// initial register state, random word-boundary context switches —
     /// batched equals 64 scalar replays on every lane, with and without an
-    /// injected LUT fault.
+    /// injected LUT fault, with the kernel optimizer off and on.
     #[test]
     fn multi_batched_matches_scalar_on_all_lanes(
         seed in 0u64..10_000,
         n_ctx in 1usize..=3,
         inject in any::<bool>(),
+        optimize in any::<bool>(),
     ) {
         let arch = ArchSpec::paper_default();
         let circuits: Vec<Netlist> = (0..n_ctx)
@@ -118,6 +119,7 @@ proptest! {
             })
             .collect();
         let mut dev = MultiDevice::compile(&arch, &circuits).unwrap();
+        dev.set_kernel_options(KernelOptions::new().with_optimize(optimize));
         if inject {
             dev.inject_lut_fault(LutFault { lb: 0, output: 0, plane: 0, assignment: 1 });
         }
