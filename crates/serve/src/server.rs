@@ -1067,6 +1067,8 @@ fn do_restore(
                                 ("shared_contexts", shared.into()),
                                 ("contexts_total", stats.contexts_total.into()),
                                 ("contexts_reused", stats.contexts_reused.into()),
+                                ("placements_reused", stats.placements_reused.into()),
+                                ("routes_reused", stats.routes_reused.into()),
                             ],
                         );
                         delta = Some(stats);

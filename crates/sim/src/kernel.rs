@@ -21,16 +21,33 @@
 //! [`CompiledKernel::step_wide`]), so chunk layouts, probe sampling, and the
 //! toggle census are preserved bit-for-bit.
 //!
-//! Instructions default to a constant-seeded mux-tree reduction over the
-//! packed table (`2^k - 1` chunk-ops per k-input LUT). The optional kernel
-//! optimizer ([`crate::optimize`], enabled via [`crate::KernelOptions`])
-//! rewrites instructions into specialized opcodes (`Op`) — direct
-//! AND/OR/XOR/NOT/BUF/MUX forms costing 1–4 chunk-ops — after constant
-//! folding, dead-code and duplicate elimination. Optimization never changes
-//! any lane of any output or register; it only changes the instruction
-//! stream, which is why observability consumers that address LUT positions
-//! (probes, activity census, fault campaigns) always run on the unoptimized
-//! stream.
+//! Lowering also fixes where every operand lives. A step evaluates into one
+//! value array of `W`-word slots (held by [`KernelScratch`]):
+//!
+//! | slots | hold |
+//! |---|---|
+//! | 0, 1 | constant 0, constant 1 |
+//! | next `n_inputs` | the input chunks |
+//! | next `n_regs` | the register chunks as they were before the edge |
+//! | next `n_instrs` | one result chunk per instruction, in stream order |
+//!
+//! Every operand, output tap and register source is a `u32` slot, so reading
+//! one is a fixed-size copy at word `slot * W` with no case analysis, and
+//! registers commit straight from the array.
+//!
+//! Instructions default to a mux tree over the packed table, the software
+//! form of the LUT's pass-gate tree. A k-input [`Op::Table`] dispatches on
+//! its arity to a tree whose shape is fixed at compile time: `2^(k-1)` leaf
+//! chunks, each selecting between two table bits by operand 0 with no
+//! branch, then one halving level per further operand (`2^k - 1` chunk-ops
+//! in all). The optional kernel optimizer ([`crate::optimize`], enabled via
+//! [`crate::KernelOptions`]) rewrites instructions into specialized opcodes
+//! — direct AND/OR/XOR/NOT/BUF/MUX forms costing 1–4 chunk-ops — after
+//! constant folding, dead-code and duplicate elimination. Optimization
+//! never changes any lane of any output or register; it only changes the
+//! instruction stream, which is why observability consumers that address
+//! LUT positions (probes, activity census, fault campaigns) always run on
+//! the unoptimized stream.
 //!
 //! Lane semantics: lane `l` of every input, register, and output chunk is
 //! one complete, independent stimulus stream (chunk word `l / 64`, bit
@@ -56,7 +73,7 @@ pub const LANES: usize = 64;
 /// 512-bit chunk (8 × u64 — one AVX-512 register).
 pub const SUPPORTED_WIDTHS: &[usize] = &[1, 2, 4, 8];
 
-/// A compact operand reference, resolved against the chunk-level state.
+/// A decoded operand: the optimizer's working form of a value-array slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum Operand {
     /// Primary-input chunk `i`.
@@ -76,6 +93,68 @@ impl Operand {
             MappedSource::Register(r) => Operand::Register(r as u32),
             MappedSource::Lut(l) => Operand::Lut(l as u32),
             MappedSource::Const(c) => Operand::Const(c),
+        }
+    }
+}
+
+/// The value-array layout of a kernel with `n_inputs` inputs and `n_regs`
+/// registers (see the module docs): encodes [`Operand`]s as slots and
+/// decodes them back.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotLayout {
+    n_inputs: u32,
+    n_regs: u32,
+}
+
+impl SlotLayout {
+    fn new(n_inputs: usize, n_regs: usize) -> SlotLayout {
+        SlotLayout {
+            n_inputs: n_inputs as u32,
+            n_regs: n_regs as u32,
+        }
+    }
+
+    /// The first register slot.
+    fn regs(self) -> u32 {
+        2 + self.n_inputs
+    }
+
+    /// The first instruction-result slot.
+    fn results(self) -> u32 {
+        self.regs() + self.n_regs
+    }
+
+    pub(crate) fn slot(self, op: Operand) -> u32 {
+        match op {
+            Operand::Const(c) => c as u32,
+            Operand::Input(i) => {
+                assert!(i < self.n_inputs, "input {i} out of range");
+                2 + i
+            }
+            Operand::Register(r) => {
+                assert!(r < self.n_regs, "register {r} out of range");
+                self.regs() + r
+            }
+            Operand::Lut(l) => self.results() + l,
+        }
+    }
+
+    pub(crate) fn operand(self, slot: u32) -> Operand {
+        match slot {
+            0 | 1 => Operand::Const(slot == 1),
+            s if s < self.regs() => Operand::Input(s - 2),
+            s if s < self.results() => Operand::Register(s - self.regs()),
+            s => Operand::Lut(s - self.results()),
+        }
+    }
+
+    /// `instr` with its operands encoded as slots.
+    pub(crate) fn encode(self, instr: &KernelInstr<Operand>) -> KernelInstr {
+        KernelInstr {
+            ops: instr.ops.map(|o| self.slot(o)),
+            n_ops: instr.n_ops,
+            table: instr.table,
+            op: instr.op,
         }
     }
 }
@@ -113,15 +192,17 @@ pub(crate) enum Op {
 /// One levelized LUT instruction: up to 6 operands (the fabric's widest
 /// mode) and the truth table folded into a `u64` mask, bit `a` = output for
 /// address assignment `a` (operand 0 is the least-significant address bit).
+/// A kernel stores its operands as value-array slots (`O = u32`; unused
+/// operands are slot 0); the optimizer works on decoded [`Operand`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct KernelInstr {
-    pub(crate) ops: [Operand; 6],
+pub(crate) struct KernelInstr<O = u32> {
+    pub(crate) ops: [O; 6],
     pub(crate) n_ops: u8,
     pub(crate) table: u64,
     pub(crate) op: Op,
 }
 
-impl KernelInstr {
+impl<O> KernelInstr<O> {
     /// Chunk-ops this instruction costs per evaluated chunk — the optimizer's
     /// objective function and the bench's reported reduction metric.
     pub(crate) fn word_ops(&self) -> usize {
@@ -148,24 +229,43 @@ impl KernelInstr {
     }
 }
 
-/// Reusable evaluation scratch: one chunk per instruction plus the
-/// next-register staging area. Creating one is cheap; reusing one across
-/// cycles makes stepping allocation-free. The chunk layout is flat:
-/// instruction `l`'s result occupies `lut_words[l*W .. (l+1)*W]`, so at
-/// `W = 1` the layout is exactly one word per LUT, which is what the toggle
-/// census and probe consumers index.
+/// Reusable evaluation scratch: the value array a step evaluates into.
+/// Creating one is cheap; reusing one across cycles makes stepping
+/// allocation-free, and one scratch may serve any kernel at any width.
 #[derive(Debug, Default, Clone)]
 pub struct KernelScratch {
-    /// Current-cycle result chunks, instruction-major (exposed
-    /// crate-internally for toggle accounting and probe sampling).
-    pub(crate) lut_words: Vec<u64>,
-    /// Next register values, staged so sources still read the old state.
-    next_regs: Vec<u64>,
+    /// `W` words per slot, laid out as the module docs describe.
+    vals: Vec<u64>,
+    /// Word offset of the instruction-result region in `vals`.
+    results: usize,
 }
 
 impl KernelScratch {
     pub fn new() -> KernelScratch {
         KernelScratch::default()
+    }
+
+    /// The last step's instruction results, in place: instruction `l`'s
+    /// chunk is `[l*W .. (l+1)*W]`, so at `W = 1` it is one word per LUT,
+    /// which is what the toggle census and probe consumers index.
+    pub(crate) fn lut_words(&self) -> &[u64] {
+        &self.vals[self.results..]
+    }
+
+    /// Size the value array for `kernel` at width `W` and fill the slots read
+    /// before they are written: constants, inputs and pre-edge registers.
+    fn prime<const W: usize>(&mut self, kernel: &CompiledKernel, inputs: &[u64], regs: &[u64]) {
+        assert_eq!(inputs.len(), kernel.n_inputs * W, "input word count");
+        assert_eq!(regs.len(), kernel.n_regs * W, "register word count");
+        let regs_at = 2 * W + inputs.len();
+        self.results = regs_at + regs.len();
+        self.vals.resize(self.results + kernel.instrs.len() * W, 0);
+        // Constants are rewritten every step: the array may last have held
+        // another kernel, or this one at another width, at the same length.
+        self.vals[..W].fill(0);
+        self.vals[W..2 * W].fill(!0);
+        self.vals[2 * W..regs_at].copy_from_slice(inputs);
+        self.vals[regs_at..self.results].copy_from_slice(regs);
     }
 }
 
@@ -180,8 +280,9 @@ pub struct CompiledKernel {
     pub(crate) n_inputs: usize,
     pub(crate) n_regs: usize,
     pub(crate) instrs: Vec<KernelInstr>,
-    pub(crate) outputs: Vec<Operand>,
-    pub(crate) dffs: Vec<Operand>,
+    /// Output taps and register sources, as slots.
+    pub(crate) outputs: Vec<u32>,
+    pub(crate) dffs: Vec<u32>,
     /// True once the optimizer pass has rewritten the stream. Optimized
     /// kernels compute identical lanes but their instruction positions no
     /// longer address mapped LUT positions — probes, census, and fault
@@ -200,12 +301,14 @@ impl CompiledKernel {
         outputs: impl Iterator<Item = MappedSource>,
         dffs: impl Iterator<Item = MappedSource>,
     ) -> CompiledKernel {
+        let slots = SlotLayout::new(n_inputs, n_regs);
+        let slot = |s: MappedSource| slots.slot(Operand::from_source(s));
         let instrs = luts
             .map(|(srcs, table)| {
                 assert!(srcs.len() <= 6, "LUT wider than the 6-input fabric mode");
-                let mut ops = [Operand::Const(false); 6];
-                for (slot, &s) in ops.iter_mut().zip(srcs) {
-                    *slot = Operand::from_source(s);
+                let mut ops = [0u32; 6];
+                for (o, &s) in ops.iter_mut().zip(srcs) {
+                    *o = slot(s);
                 }
                 KernelInstr {
                     ops,
@@ -219,8 +322,8 @@ impl CompiledKernel {
             n_inputs,
             n_regs,
             instrs,
-            outputs: outputs.map(Operand::from_source).collect(),
-            dffs: dffs.map(Operand::from_source).collect(),
+            outputs: outputs.map(slot).collect(),
+            dffs: dffs.map(slot).collect(),
             optimized: false,
         }
     }
@@ -253,6 +356,10 @@ impl CompiledKernel {
         self.instrs.iter().map(|i| i.word_ops()).sum()
     }
 
+    pub(crate) fn slots(&self) -> SlotLayout {
+        SlotLayout::new(self.n_inputs, self.n_regs)
+    }
+
     /// Flip one folded truth-table bit — the kernel-level image of
     /// `flip_lut_bit` on the position's active plane. Flips at assignments
     /// above the instruction's own address space (`2^n_ops`) are dormant,
@@ -267,6 +374,10 @@ impl CompiledKernel {
 
     /// One clock edge over 64 lanes: the `W = 1` instantiation of
     /// [`CompiledKernel::step_wide`], kept as the canonical narrow path.
+    ///
+    /// # Panics
+    ///
+    /// As [`CompiledKernel::step_wide`].
     pub fn step(
         &self,
         inputs: &[u64],
@@ -283,8 +394,17 @@ impl CompiledKernel {
     /// All buffers are chunk-flattened and signal-major: `inputs` holds
     /// `n_inputs * W` words (`inputs[i*W + w]` = word `w` of input `i`),
     /// `regs` holds `n_regs * W` words, and `out` is cleared and refilled
-    /// with `n_outputs * W` words. No allocation happens after the scratch's
-    /// first use.
+    /// with `n_outputs * W` words. The step copies the constants, `inputs`
+    /// and `regs` into the scratch's value array, evaluates each
+    /// instruction into its result slot (a `Table` instruction through the
+    /// mux tree of its arity), then copies the output taps to `out` and the
+    /// register sources back to `regs`. No allocation happens after the
+    /// scratch's first use at this kernel's size.
+    ///
+    /// # Panics
+    ///
+    /// If `inputs` does not hold `n_inputs * W` words or `regs` does not
+    /// hold `n_regs * W` words.
     pub fn step_wide<const W: usize>(
         &self,
         inputs: &[u64],
@@ -292,28 +412,14 @@ impl CompiledKernel {
         scratch: &mut KernelScratch,
         out: &mut Vec<u64>,
     ) {
-        debug_assert_eq!(inputs.len(), self.n_inputs * W, "input word count");
-        debug_assert_eq!(regs.len(), self.n_regs * W, "register word count");
-        scratch.lut_words.resize(self.instrs.len() * W, 0);
-        let mut mux = [[0u64; W]; 32];
-        for i in 0..self.instrs.len() {
-            let c =
-                eval_instr_wide::<W>(&self.instrs[i], inputs, regs, &scratch.lut_words, &mut mux);
-            scratch.lut_words[i * W..(i + 1) * W].copy_from_slice(&c);
-        }
+        scratch.prime::<W>(self, inputs, regs);
+        let vals = scratch.vals.as_chunks_mut::<W>().0;
+        self.eval_stream(vals, scratch.results / W, |_| true);
         out.clear();
         for &o in &self.outputs {
-            out.extend_from_slice(&load::<W>(o, inputs, regs, &scratch.lut_words));
+            out.extend_from_slice(&vals[o as usize]);
         }
-        // Stage next-state chunks first: a DFF source may read another
-        // register's *old* value.
-        scratch.next_regs.clear();
-        for &d in &self.dffs {
-            scratch
-                .next_regs
-                .extend_from_slice(&load::<W>(d, inputs, regs, &scratch.lut_words));
-        }
-        regs.copy_from_slice(&scratch.next_regs);
+        self.commit(vals, regs);
     }
 
     /// Per-instruction mask of the registers' transitive fanin cone — the
@@ -321,19 +427,20 @@ impl CompiledKernel {
     /// to advance register state without producing outputs. The stream is
     /// topological, so one reverse sweep closes the cone.
     pub(crate) fn state_cone(&self) -> Vec<bool> {
+        let slots = self.slots();
+        let lut = |&s: &u32| match slots.operand(s) {
+            Operand::Lut(l) => Some(l as usize),
+            _ => None,
+        };
         let mut needed = vec![false; self.instrs.len()];
-        for &d in &self.dffs {
-            if let Operand::Lut(l) = d {
-                needed[l as usize] = true;
-            }
+        for l in self.dffs.iter().filter_map(lut) {
+            needed[l] = true;
         }
         for i in (0..self.instrs.len()).rev() {
             if needed[i] {
                 let instr = &self.instrs[i];
-                for &op in &instr.ops[..instr.n_ops as usize] {
-                    if let Operand::Lut(l) = op {
-                        needed[l as usize] = true;
-                    }
+                for l in instr.ops[..instr.n_ops as usize].iter().filter_map(lut) {
+                    needed[l] = true;
                 }
             }
         }
@@ -353,39 +460,43 @@ impl CompiledKernel {
         scratch: &mut KernelScratch,
     ) {
         debug_assert_eq!(cone.len(), self.instrs.len());
-        scratch.lut_words.resize(self.instrs.len() * W, 0);
-        let mut mux = [[0u64; W]; 32];
-        for (i, &live) in cone.iter().enumerate() {
-            if !live {
-                continue;
+        scratch.prime::<W>(self, inputs, regs);
+        let vals = scratch.vals.as_chunks_mut::<W>().0;
+        self.eval_stream(vals, scratch.results / W, |i| cone[i]);
+        self.commit(vals, regs);
+    }
+
+    /// Evaluate, in stream order, each instruction `live` admits into its
+    /// result slot; `results` is the first result slot.
+    #[inline(always)]
+    fn eval_stream<const W: usize>(
+        &self,
+        vals: &mut [[u64; W]],
+        results: usize,
+        live: impl Fn(usize) -> bool,
+    ) {
+        for (i, instr) in self.instrs.iter().enumerate() {
+            if live(i) {
+                vals[results + i] = eval(instr, vals);
             }
-            let c =
-                eval_instr_wide::<W>(&self.instrs[i], inputs, regs, &scratch.lut_words, &mut mux);
-            scratch.lut_words[i * W..(i + 1) * W].copy_from_slice(&c);
         }
-        scratch.next_regs.clear();
-        for &d in &self.dffs {
-            scratch
-                .next_regs
-                .extend_from_slice(&load::<W>(d, inputs, regs, &scratch.lut_words));
+    }
+
+    /// Commit the next register chunks straight from the value array. Its
+    /// register slots still hold the pre-edge state, so a register source
+    /// that reads another register sees the old value.
+    fn commit<const W: usize>(&self, vals: &[[u64; W]], regs: &mut [u64]) {
+        for (r, &d) in regs.as_chunks_mut::<W>().0.iter_mut().zip(&self.dffs) {
+            *r = vals[d as usize];
         }
-        regs.copy_from_slice(&scratch.next_regs);
     }
 }
 
-/// Load one operand's `W`-word chunk. The fixed-size copy compiles to one
-/// vector load at every supported width.
-#[inline]
-fn load<const W: usize>(op: Operand, inputs: &[u64], regs: &[u64], lut_words: &[u64]) -> [u64; W] {
-    let mut c = [0u64; W];
-    match op {
-        Operand::Input(i) => c.copy_from_slice(&inputs[i as usize * W..][..W]),
-        Operand::Register(r) => c.copy_from_slice(&regs[r as usize * W..][..W]),
-        Operand::Lut(l) => c.copy_from_slice(&lut_words[l as usize * W..][..W]),
-        Operand::Const(true) => c = [!0u64; W],
-        Operand::Const(false) => {}
-    }
-    c
+/// Every lane set to bit `i` of `bits`: shifting the bit into the sign and
+/// back spreads it with no branch.
+#[inline(always)]
+fn bit_lanes(bits: u64, i: usize) -> u64 {
+    (((bits << (63 - i)) as i64) >> 63) as u64
 }
 
 #[inline]
@@ -420,64 +531,79 @@ fn zip3<const W: usize>(
     o
 }
 
-/// Evaluate one instruction across all `64 * W` lanes.
-#[inline]
-fn eval_instr_wide<const W: usize>(
-    instr: &KernelInstr,
-    inputs: &[u64],
-    regs: &[u64],
-    lut_words: &[u64],
-    mux: &mut [[u64; W]; 32],
-) -> [u64; W] {
-    let ld = |op: Operand| load::<W>(op, inputs, regs, lut_words);
+/// Evaluate one instruction across all `64 * W` lanes from the value
+/// array, which is filled up to the instruction's own slot.
+#[inline(always)]
+fn eval<const W: usize>(instr: &KernelInstr, vals: &[[u64; W]]) -> [u64; W] {
+    let x = |j: usize| vals[instr.ops[j] as usize];
     match instr.op {
-        Op::Table => eval_table_wide::<W>(instr, inputs, regs, lut_words, mux),
-        Op::Const => {
-            if instr.table & 1 == 1 {
-                [!0u64; W]
-            } else {
-                [0u64; W]
-            }
-        }
-        Op::Buf => ld(instr.ops[0]),
-        Op::Not => map1(ld(instr.ops[0]), |a| !a),
-        Op::Logic2(t) => eval_logic2::<W>(t, ld(instr.ops[0]), ld(instr.ops[1])),
-        Op::MuxSel2 => zip3(
-            ld(instr.ops[0]),
-            ld(instr.ops[1]),
-            ld(instr.ops[2]),
-            |a, b, s| (a & !s) | (b & s),
-        ),
-        Op::Maj3 => zip3(
-            ld(instr.ops[0]),
-            ld(instr.ops[1]),
-            ld(instr.ops[2]),
-            |a, b, c| (a & b) | ((a | b) & c),
-        ),
-        Op::AndAll { invert } => fold_all::<W>(instr, invert, &ld, |a, b| a & b),
-        Op::OrAll { invert } => fold_all::<W>(instr, invert, &ld, |a, b| a | b),
-        Op::XorAll { invert } => fold_all::<W>(instr, invert, &ld, |a, b| a ^ b),
+        Op::Table => match instr.n_ops {
+            0 => [bit_lanes(instr.table, 0); W],
+            1 => mux_tree::<1, W>(instr, vals),
+            2 => mux_tree::<2, W>(instr, vals),
+            3 => mux_tree::<4, W>(instr, vals),
+            4 => mux_tree::<8, W>(instr, vals),
+            5 => mux_tree::<16, W>(instr, vals),
+            _ => mux_tree::<32, W>(instr, vals),
+        },
+        Op::Const => [bit_lanes(instr.table, 0); W],
+        Op::Buf => x(0),
+        Op::Not => map1(x(0), |a| !a),
+        Op::Logic2(t) => eval_logic2::<W>(t, x(0), x(1)),
+        Op::MuxSel2 => zip3(x(0), x(1), x(2), |a, b, s| (a & !s) | (b & s)),
+        Op::Maj3 => zip3(x(0), x(1), x(2), |a, b, c| (a & b) | ((a | b) & c)),
+        Op::AndAll { invert } => chain::<W>(instr, vals, invert, |a, b| a & b),
+        Op::OrAll { invert } => chain::<W>(instr, vals, invert, |a, b| a | b),
+        Op::XorAll { invert } => chain::<W>(instr, vals, invert, |a, b| a ^ b),
     }
 }
 
-#[inline]
-fn fold_all<const W: usize>(
+/// The mux tree of a k-input table, `LEAVES = 2^(k-1)`: leaf `a` selects
+/// table bit `2a` or `2a + 1` by operand 0, each bit widened to a lane mask
+/// so the leaf needs no branch, and every further operand halves the tree.
+/// `2^k - 1` chunk-ops over exactly `LEAVES` scratch chunks.
+#[inline(always)]
+fn mux_tree<const LEAVES: usize, const W: usize>(
     instr: &KernelInstr,
-    invert: bool,
-    ld: &impl Fn(Operand) -> [u64; W],
-    f: impl Fn(u64, u64) -> u64,
+    vals: &[[u64; W]],
 ) -> [u64; W] {
-    let mut acc = ld(instr.ops[0]);
-    for &op in &instr.ops[1..instr.n_ops as usize] {
-        let x = ld(op);
-        for (aw, &xw) in acc.iter_mut().zip(&x) {
-            *aw = f(*aw, xw);
+    let x0 = vals[instr.ops[0] as usize];
+    let mut tree = [[0u64; W]; LEAVES];
+    for (a, leaf) in tree.iter_mut().enumerate() {
+        let lo = bit_lanes(instr.table, 2 * a);
+        let hi = bit_lanes(instr.table, 2 * a + 1);
+        *leaf = map1(x0, |x| (lo & !x) | (hi & x));
+    }
+    let k = LEAVES.trailing_zeros() as usize + 1;
+    let mut width = LEAVES;
+    for &s in &instr.ops[1..k] {
+        let xj = vals[s as usize];
+        width /= 2;
+        for a in 0..width {
+            tree[a] = zip3(tree[2 * a], tree[2 * a + 1], xj, |lo, hi, x| {
+                (lo & !x) | (hi & x)
+            });
         }
     }
+    tree[0]
+}
+
+/// AND/OR/XOR of every operand, optionally inverted: `k - 1 + invert`
+/// chunk-ops.
+#[inline(always)]
+fn chain<const W: usize>(
+    instr: &KernelInstr,
+    vals: &[[u64; W]],
+    invert: bool,
+    f: impl Fn(u64, u64) -> u64,
+) -> [u64; W] {
+    let ops = &instr.ops[..instr.n_ops as usize];
+    let mut acc = vals[ops[0] as usize];
+    for &s in &ops[1..] {
+        acc = zip2(acc, vals[s as usize], &f);
+    }
     if invert {
-        for aw in &mut acc {
-            *aw = !*aw;
-        }
+        acc = map1(acc, |a| !a);
     }
     acc
 }
@@ -517,56 +643,6 @@ fn eval_logic2<const W: usize>(t: u8, a: [u64; W], b: [u64; W]) -> [u64; W] {
     }
 }
 
-/// Generic table evaluation: seed `2^(k-1)` chunks from the constant table
-/// paired with operand 0, then fold the remaining k-1 operands mux-style.
-/// Total cost `2^k - 1` chunk-muxes — about one bit-op per lane per LUT.
-#[inline]
-fn eval_table_wide<const W: usize>(
-    instr: &KernelInstr,
-    inputs: &[u64],
-    regs: &[u64],
-    lut_words: &[u64],
-    mux: &mut [[u64; W]; 32],
-) -> [u64; W] {
-    let k = instr.n_ops as usize;
-    if k == 0 {
-        return if instr.table & 1 == 1 {
-            [!0u64; W]
-        } else {
-            [0u64; W]
-        };
-    }
-    let x0 = load::<W>(instr.ops[0], inputs, regs, lut_words);
-    let half = 1usize << (k - 1);
-    for (a, slot) in mux.iter_mut().enumerate().take(half) {
-        // Table bits (2a, 2a+1) are the outputs for x0 = 0 / 1 under the
-        // remaining address bits `a`; with constant table bits the first mux
-        // level collapses to one of four chunks.
-        match (instr.table >> (2 * a)) & 3 {
-            0 => *slot = [0u64; W],
-            1 => {
-                for (sw, &xw) in slot.iter_mut().zip(&x0) {
-                    *sw = !xw;
-                }
-            }
-            2 => *slot = x0,
-            _ => *slot = [!0u64; W],
-        }
-    }
-    let mut width = half;
-    for &opj in &instr.ops[1..k] {
-        let xj = load::<W>(opj, inputs, regs, lut_words);
-        width >>= 1;
-        for a in 0..width {
-            let (lo, hi) = (mux[2 * a], mux[2 * a + 1]);
-            for (w, slot) in mux[a].iter_mut().enumerate() {
-                *slot = (lo[w] & !xj[w]) | (hi[w] & xj[w]);
-            }
-        }
-    }
-    mux[0]
-}
-
 /// Broadcast a bool slice into `W`-word chunks (every lane of every word of
 /// each signal's chunk equal).
 pub(crate) fn broadcast_wide(bits: &[bool], words: &mut Vec<u64>, w: usize) {
@@ -596,54 +672,87 @@ pub(crate) fn extract_lane_wide(words: &[u64], w: usize, lane: usize, bits: &mut
 mod tests {
     use super::*;
 
-    fn table_instr(n_ops: u8, table: u64) -> KernelInstr {
-        let mut ops = [Operand::Const(false); 6];
-        for (i, op) in ops.iter_mut().enumerate().take(n_ops as usize) {
-            *op = Operand::Input(i as u32);
-        }
-        KernelInstr {
-            ops,
-            n_ops,
-            table,
-            op: Op::Table,
+    /// One `k`-input LUT over inputs `0..k`, tapped as the only output.
+    fn lut_kernel(k: usize, table: u64) -> CompiledKernel {
+        let srcs: Vec<MappedSource> = (0..k).map(MappedSource::Input).collect();
+        CompiledKernel::build(
+            k,
+            0,
+            std::iter::once((&srcs[..], table)),
+            std::iter::once(MappedSource::Lut(0)),
+            std::iter::empty(),
+        )
+    }
+
+    /// The output chunks of one register-free step at width `W`.
+    fn eval_at<const W: usize>(kernel: &CompiledKernel, inputs: &[u64]) -> Vec<u64> {
+        let mut out = Vec::new();
+        kernel.step_wide::<W>(inputs, &mut [], &mut KernelScratch::new(), &mut out);
+        out
+    }
+
+    /// Dense pseudo-random words (splitmix64).
+    fn words(seed: u64, n: usize) -> Vec<u64> {
+        let mut s = seed;
+        (0..n)
+            .map(|_| {
+                s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = s;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            })
+            .collect()
+    }
+
+    fn mux_tree_at<const W: usize>() {
+        for k in 0..=6usize {
+            // Lane l drives address (l ^ l/64) mod 2^k, so every word of a
+            // wide chunk sees its own address pattern.
+            let address = |lane: usize| (lane ^ (lane / LANES)) % (1 << k);
+            let mut inputs = vec![0u64; k * W];
+            for lane in 0..LANES * W {
+                for i in 0..k {
+                    inputs[i * W + lane / LANES] |=
+                        (((address(lane) >> i) & 1) as u64) << (lane % LANES);
+                }
+            }
+            // Every table up to 3 inputs, plus random tables whose bits
+            // above 2^k must stay dormant.
+            let exhaustive = if k <= 3 { 1u64 << (1 << k) } else { 0 };
+            for table in (0..exhaustive).chain(words(k as u64, 32)) {
+                let out = eval_at::<W>(&lut_kernel(k, table), &inputs);
+                for lane in 0..LANES * W {
+                    let a = address(lane);
+                    assert_eq!(
+                        (out[lane / LANES] >> (lane % LANES)) & 1,
+                        (table >> a) & 1,
+                        "k {k} width {W} table {table:#x} lane {lane} address {a}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn mux_tree_matches_direct_table_lookup() {
-        // Every 3-input table, every address, on a lane-striped stimulus.
-        for table in 0..256u64 {
-            let instr = table_instr(3, table);
-            // Lane l drives address l % 8.
-            let mut inputs = [0u64; 3];
-            for lane in 0..LANES {
-                let a = lane % 8;
-                for (i, w) in inputs.iter_mut().enumerate() {
-                    *w |= (((a >> i) & 1) as u64) << lane;
-                }
-            }
-            let mut mux = [[0u64; 1]; 32];
-            let w = eval_instr_wide::<1>(&instr, &inputs, &[], &[], &mut mux)[0];
-            for lane in 0..LANES {
-                let a = lane % 8;
-                assert_eq!(
-                    (w >> lane) & 1 == 1,
-                    (table >> a) & 1 == 1,
-                    "table {table:#x} address {a}"
-                );
+        // Every arity the fabric has, at every width.
+        for &w in SUPPORTED_WIDTHS {
+            match w {
+                1 => mux_tree_at::<1>(),
+                2 => mux_tree_at::<2>(),
+                4 => mux_tree_at::<4>(),
+                8 => mux_tree_at::<8>(),
+                _ => panic!("width {w} has no test instantiation"),
             }
         }
     }
 
     #[test]
     fn zero_input_instruction_broadcasts_its_constant() {
-        for (table, want) in [(0u64, 0u64), (1, !0)] {
-            let instr = table_instr(0, table);
-            let mut mux = [[0u64; 1]; 32];
-            assert_eq!(
-                eval_instr_wide::<1>(&instr, &[], &[], &[], &mut mux),
-                [want]
-            );
+        for (table, want) in [(0u64, 0u64), (1, !0), (0b10, 0)] {
+            assert_eq!(eval_at::<1>(&lut_kernel(0, table), &[]), [want]);
+            assert_eq!(eval_at::<8>(&lut_kernel(0, table), &[]), [want; 8]);
         }
     }
 
@@ -688,16 +797,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn specialized_opcodes_match_their_tables() {
+    fn specialized_at<const W: usize>() {
         // For each specialized opcode/table pair, the direct evaluator must
-        // agree with the generic mux-tree on dense random-ish stimulus.
-        let x = [
-            0xDEAD_BEEF_CAFE_F00Du64,
-            0x0123_4567_89AB_CDEF,
-            0xF0F0_F0F0_0F0F_0F0F,
-        ];
-        let cases: Vec<(Op, u8, u64)> = vec![
+        // agree with the generic mux tree on dense random stimulus.
+        let x = words(W as u64, 6 * W);
+        let cases: Vec<(Op, usize, u64)> = vec![
             (Op::Buf, 1, 0b10),
             (Op::Not, 1, 0b01),
             (Op::MuxSel2, 3, 0b1100_1010), // sel ? b : a
@@ -708,24 +812,28 @@ mod tests {
             (Op::OrAll { invert: true }, 3, 0x01),
             (Op::XorAll { invert: false }, 3, 0b1001_0110),
             (Op::XorAll { invert: true }, 3, 0b0110_1001),
+            (Op::XorAll { invert: false }, 4, 0x6996),
+            (Op::OrAll { invert: false }, 5, 0xFFFF_FFFE),
+            (Op::AndAll { invert: true }, 6, !(1u64 << 63)),
         ];
-        for (op, n_ops, table) in cases {
-            let mut instr = table_instr(n_ops, table);
-            let mut mux = [[0u64; 1]; 32];
-            let want = eval_instr_wide::<1>(&instr, &x, &[], &[], &mut mux);
-            instr.op = op;
-            let got = eval_instr_wide::<1>(&instr, &x, &[], &[], &mut mux);
-            assert_eq!(got, want, "{op:?} table {table:#x}");
+        let logic2 = (0..16u64).map(|t| (Op::Logic2(t as u8), 2, t));
+        for (op, k, table) in cases.into_iter().chain(logic2) {
+            let generic = lut_kernel(k, table);
+            let mut special = generic.clone();
+            special.instrs[0].op = op;
+            let inputs = &x[..k * W];
+            assert_eq!(
+                eval_at::<W>(&special, inputs),
+                eval_at::<W>(&generic, inputs),
+                "{op:?} table {table:#x} width {W}"
+            );
         }
-        // Every 2-input table through Logic2.
-        for table in 0..16u64 {
-            let mut instr = table_instr(2, table);
-            let mut mux = [[0u64; 1]; 32];
-            let want = eval_instr_wide::<1>(&instr, &x, &[], &[], &mut mux);
-            instr.op = Op::Logic2(table as u8);
-            let got = eval_instr_wide::<1>(&instr, &x, &[], &[], &mut mux);
-            assert_eq!(got, want, "Logic2 table {table:#x}");
-        }
+    }
+
+    #[test]
+    fn specialized_opcodes_match_their_tables() {
+        specialized_at::<1>();
+        specialized_at::<8>();
     }
 
     #[test]
@@ -745,6 +853,98 @@ mod tests {
         kernel.step(&[], &mut regs, &mut scratch, &mut out);
         assert_eq!(regs[0], 0x5555_5555_5555_5555);
         assert_eq!(regs[1], 0xAAAA_AAAA_AAAA_AAAA);
+    }
+
+    #[test]
+    fn one_scratch_serves_kernels_of_any_size_and_width() {
+        use MappedSource::{Const, Input, Lut, Register};
+        // 16 slots at W = 1: 2 constants, 4 inputs, 2 registers, 8 LUTs,
+        // each XOR-ing an input into the previous LUT (the first into r0).
+        let xors: Vec<[MappedSource; 2]> = (0..8)
+            .map(|n| [Input(n % 4), if n == 0 { Register(0) } else { Lut(n - 1) }])
+            .collect();
+        let big = CompiledKernel::build(
+            4,
+            2,
+            xors.iter().map(|s| (&s[..], 0b0110u64)),
+            std::iter::once(Lut(7)),
+            [Lut(3), Register(0)].into_iter(),
+        );
+        // 8 slots at W = 2, the same 16 words: 2 constants, 2 inputs, 1
+        // register, 3 LUTs, reading constant 1 directly and through LUTs.
+        let small = CompiledKernel::build(
+            2,
+            1,
+            [
+                (&[Input(0), Const(true)][..], 0b1000u64),
+                (&[Lut(0), Register(0)][..], 0b0110),
+                (&[Input(1), Const(true), Lut(1)][..], 0b1001_0110),
+            ]
+            .into_iter(),
+            [Lut(1), Lut(2), Const(true)].into_iter(),
+            std::iter::once(Lut(2)),
+        );
+        let big_in = [0, 0, !0, 0x1234_5678_9ABC_DEF0];
+        let small_in = [0xF0F0_F0F0_F0F0_F0F0, 0x0FF0, 0x1111, !0];
+        fn step_on<const W: usize>(
+            kernel: &CompiledKernel,
+            inputs: &[u64],
+            regs: &[u64],
+            scratch: &mut KernelScratch,
+        ) -> (Vec<u64>, Vec<u64>) {
+            let (mut regs, mut out) = (regs.to_vec(), Vec::new());
+            kernel.step_wide::<W>(inputs, &mut regs, scratch, &mut out);
+            (out, regs)
+        }
+        let mut shared = KernelScratch::new();
+        for round in 0..2 {
+            let fresh = step_on::<1>(&big, &big_in, &[3, 5], &mut KernelScratch::new());
+            let got = step_on::<1>(&big, &big_in, &[3, 5], &mut shared);
+            assert_eq!(got, fresh, "round {round}: W = 1");
+            let fresh = step_on::<2>(&small, &small_in, &[7, 9], &mut KernelScratch::new());
+            let got = step_on::<2>(&small, &small_in, &[7, 9], &mut shared);
+            assert_eq!(got, fresh, "round {round}: W = 2");
+            assert_eq!(got.0[4..], [!0, !0], "round {round}: constant 1 output");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "input word count")]
+    fn step_rejects_inputs_of_the_wrong_length() {
+        lut_kernel(2, 0b0110).step(&[0], &mut [], &mut KernelScratch::new(), &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "register word count")]
+    fn step_rejects_registers_of_the_wrong_length() {
+        lut_kernel(1, 0b10).step(&[0], &mut [0], &mut KernelScratch::new(), &mut Vec::new());
+    }
+
+    #[test]
+    fn slots_decode_to_the_operands_they_encode() {
+        let slots = SlotLayout::new(3, 2);
+        let ops = [
+            Operand::Const(false),
+            Operand::Const(true),
+            Operand::Input(0),
+            Operand::Input(2),
+            Operand::Register(0),
+            Operand::Register(1),
+            Operand::Lut(0),
+            Operand::Lut(40),
+        ];
+        for (want, op) in ops.into_iter().enumerate() {
+            let s = slots.slot(op);
+            assert_eq!(s, [0, 1, 2, 4, 5, 6, 7, 47][want], "{op:?}");
+            assert_eq!(slots.operand(s), op);
+        }
+    }
+
+    #[test]
+    fn slot_instruction_fits_in_40_bytes() {
+        // The one instruction list a kernel stores; the decoded form the
+        // optimizer works on takes 64.
+        assert!(std::mem::size_of::<KernelInstr>() <= 40);
     }
 
     #[test]

@@ -1014,10 +1014,10 @@ impl MultiDevice {
         // reads the LUT words the kernel just computed, probes record
         // inputs / pre-edge registers / LUT outputs into their rings.
         if let Some(census) = self.census.as_mut() {
-            census.record(c, file, &self.scratch.lut_words);
+            census.record(c, file, self.scratch.lut_words());
         }
         if let Some(probes) = self.probes[c].as_mut() {
-            probes.sample(inputs, &self.scratch.lut_words);
+            probes.sample(inputs, self.scratch.lut_words());
         }
         self.recorder.incr("sim.words", 1);
         self.recorder.incr("sim.cycles", LANES as u64);
@@ -1240,10 +1240,10 @@ impl MultiDevice {
                 kernel.step_wide::<W>(stim, &mut regs, &mut scratch, &mut step_out);
                 out[t * n_outputs * W..][..n_outputs * W].copy_from_slice(&step_out);
                 if let Some(census) = self.census.as_mut() {
-                    census.record_wide(c, file, &scratch.lut_words, W);
+                    census.record_wide(c, file, scratch.lut_words(), W);
                 }
                 if let Some(probes) = self.probes[c].as_mut() {
-                    probes.sample_wide(stim, &scratch.lut_words, W);
+                    probes.sample_wide(stim, scratch.lut_words(), W);
                 }
             }
             self.scratch = scratch;

@@ -101,16 +101,20 @@ impl CompiledKernel {
             ..OptimizeStats::default()
         };
 
+        // The passes work on decoded operands; the slots are encoded again
+        // on exit.
+        let slots = self.slots();
+
         // Pass 1: fold + canonicalize + dedup, building the substitution
         // `repr[original lut] -> operand in the new stream`.
         let mut repr: Vec<Operand> = Vec::with_capacity(self.instrs.len());
-        let mut instrs: Vec<KernelInstr> = Vec::new();
-        let mut dedup: HashMap<KernelInstr, u32> = HashMap::new();
+        let mut instrs: Vec<KernelInstr<Operand>> = Vec::new();
+        let mut dedup: HashMap<KernelInstr<Operand>, u32> = HashMap::new();
         for instr in &self.instrs {
             let mut k = instr.n_ops as usize;
             let mut ops: Vec<Operand> = instr.ops[..k]
                 .iter()
-                .map(|&op| match op {
+                .map(|&s| match slots.operand(s) {
                     Operand::Lut(l) => repr[l as usize],
                     other => other,
                 })
@@ -179,8 +183,12 @@ impl CompiledKernel {
             Operand::Lut(l) => repr[l as usize],
             other => other,
         };
-        let outputs: Vec<Operand> = self.outputs.iter().map(|&o| subst(o)).collect();
-        let dffs: Vec<Operand> = self.dffs.iter().map(|&d| subst(d)).collect();
+        let outputs: Vec<Operand> = self
+            .outputs
+            .iter()
+            .map(|&o| subst(slots.operand(o)))
+            .collect();
+        let dffs: Vec<Operand> = self.dffs.iter().map(|&d| subst(slots.operand(d))).collect();
 
         // Pass 2: dead-code elimination from the observable roots.
         let mut live = vec![false; instrs.len()];
@@ -199,7 +207,7 @@ impl CompiledKernel {
             }
         }
         let mut remap = vec![u32::MAX; instrs.len()];
-        let mut kept: Vec<KernelInstr> = Vec::with_capacity(instrs.len());
+        let mut kept: Vec<KernelInstr<Operand>> = Vec::with_capacity(instrs.len());
         for (i, mut instr) in instrs.into_iter().enumerate() {
             if !live[i] {
                 stats.dead += 1;
@@ -254,7 +262,7 @@ impl CompiledKernel {
                 order.push(i);
             }
         }
-        let mut instrs: Vec<KernelInstr> = order
+        let mut instrs: Vec<KernelInstr<Operand>> = order
             .into_iter()
             .map(|i| {
                 let mut instr = kept[i];
@@ -283,9 +291,9 @@ impl CompiledKernel {
         let kernel = CompiledKernel {
             n_inputs: self.n_inputs,
             n_regs: self.n_regs,
-            instrs,
-            outputs,
-            dffs,
+            instrs: instrs.iter().map(|i| slots.encode(i)).collect(),
+            outputs: outputs.into_iter().map(|o| slots.slot(o)).collect(),
+            dffs: dffs.into_iter().map(|d| slots.slot(d)).collect(),
             optimized: true,
         };
         stats.instrs_after = kernel.instrs.len();
@@ -390,7 +398,7 @@ fn mux_table(d0: usize, d1: usize, s: usize) -> u64 {
 /// a recognized shape. The canonical mux position is probed first so an
 /// already-specialized stream is left untouched. Returns whether the
 /// instruction ended up specialized.
-fn specialize(instr: &mut KernelInstr) -> bool {
+fn specialize(instr: &mut KernelInstr<Operand>) -> bool {
     let k = instr.n_ops as usize;
     let m = table_mask(k);
     let t = instr.table & m;

@@ -327,3 +327,50 @@ fn zero_cache_capacity_disables_caching_entirely() {
     assert_eq!(report.cache_near_hits, 0);
     assert_eq!(report.cache_misses, 2);
 }
+
+/// A near-match restore records the same `delta_compile` event as a
+/// near-hit compile: every key, the placement and route reuse counts
+/// included.
+#[test]
+fn near_match_restore_records_the_same_delta_event_as_a_near_hit_compile() {
+    let base = vec![
+        library::adder(3),
+        library::multiplier(3),
+        library::parity(6),
+    ];
+    let mut compiled = base.clone();
+    compiled[2] = perturbed_distinct(&base[2], 0.05, 42);
+    let mut restored = base.clone();
+    restored[1] = perturbed_distinct(&base[1], 0.05, 7);
+
+    let rec = Recorder::enabled();
+    let server = Server::with_recorder(ServeConfig::default().with_workers(1), &rec);
+    let compile = |server: &Server, circuits: &[Netlist]| {
+        server
+            .submit_compile(CompileJob::new(arch(), circuits.to_vec()).with_options(serial()))
+            .expect("accepted")
+            .wait()
+            .expect("compiles")
+    };
+    compile(&server, &base);
+    let near = compile(&server, &compiled);
+    assert!(near.delta.is_some(), "near-hit compile");
+
+    // The snapshot comes from a server that compiled `restored` itself, so
+    // here only a near match can serve it.
+    let elsewhere = Server::new(ServeConfig::default().with_workers(1));
+    let session = compile(&elsewhere, &restored).session;
+    let snapshot = elsewhere.checkpoint_session(session).expect("checkpoint");
+    let restore = server.restore_session(snapshot).expect("restore");
+    assert!(restore.delta.is_some(), "near-match restore");
+
+    let events = rec.trace_events();
+    let keys = |job: u64| -> Vec<String> {
+        let event = events
+            .iter()
+            .find(|e| e.name == "delta_compile" && e.job == Some(job))
+            .expect("the job records a delta_compile event");
+        event.args.iter().map(|(k, _)| k.clone()).collect()
+    };
+    assert_eq!(keys(restore.job.raw()), keys(near.job.raw()));
+}
