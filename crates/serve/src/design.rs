@@ -179,53 +179,18 @@ pub struct CompiledDesign {
 impl CompiledDesign {
     /// Compile `circuits` onto `arch` and extract the serving artifact,
     /// discarding the device's own telemetry (disabled recorder). Inside a
-    /// server, compiles instead run through [`CompiledDesign::compile_with`]
-    /// so per-phase spans land in the serving trace, correlated to the job
-    /// that caused them.
+    /// server, compiles run through the crate-private `build` with the
+    /// job's correlated recorder, so per-phase spans land in the serving
+    /// trace, stamped with the job that caused them.
     pub fn compile(
         arch: &ArchSpec,
         circuits: &[Netlist],
         options: &CompileOptions,
     ) -> Result<CompiledDesign, CompileError> {
-        CompiledDesign::compile_with(arch, circuits, options, &Recorder::disabled())
-    }
-
-    /// Like [`CompiledDesign::compile`], but routing the compile pipeline's
-    /// telemetry (per-context map/place/route spans) into `rec`. When `rec`
-    /// is a [`Recorder::correlated`] handle, every span is stamped with the
-    /// owning job id and tenant.
-    pub fn compile_with(
-        arch: &ArchSpec,
-        circuits: &[Netlist],
-        options: &CompileOptions,
-        rec: &Recorder,
-    ) -> Result<CompiledDesign, CompileError> {
-        CompiledDesign::compile_cancellable(arch, circuits, options, rec, None)
-    }
-
-    /// Like [`CompiledDesign::compile_with`], polling `cancel` between
-    /// per-context compile phases: when it reports `true`, the compile
-    /// stops with [`CompileError::DeadlineExceeded`] — how a server stops
-    /// burning a worker on a job whose deadline lapsed mid-service.
-    pub fn compile_cancellable(
-        arch: &ArchSpec,
-        circuits: &[Netlist],
-        options: &CompileOptions,
-        rec: &Recorder,
-        cancel: Option<&(dyn Fn() -> bool + Sync)>,
-    ) -> Result<CompiledDesign, CompileError> {
-        let start = std::time::Instant::now();
-        let fingerprint = DesignFingerprint::new(arch, circuits, options);
-        let seeds = vec![DeltaSeed::Cold; circuits.len()];
-        let (device, _) = MultiDevice::compile_delta(arch, circuits, options, rec, &seeds, cancel)?;
-        Ok(CompiledDesign::from_device(
-            device,
-            fingerprint,
-            start,
-            arch,
-            circuits,
-            options,
-        ))
+        let fp = DesignFingerprint::new(arch, circuits, options);
+        let rec = Recorder::disabled();
+        CompiledDesign::build(arch, circuits, options, fp, &rec, None, None)
+            .map(|(design, _)| design)
     }
 
     /// Recompile a perturbed request against a cached near-match `base`,
@@ -248,18 +213,42 @@ impl CompiledDesign {
         base: &CompiledDesign,
         cancel: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> Result<(CompiledDesign, DeltaStats), CompileError> {
+        let fp = DesignFingerprint::new(arch, circuits, options);
+        CompiledDesign::build(arch, circuits, options, fp, rec, Some(base), cancel)
+    }
+
+    /// Compile a request — the one path every compile takes. `fingerprint`
+    /// is the request's own, computed once by the caller (a server already
+    /// has it from its cache lookup). Without a `base` every context compiles
+    /// cold; with one, each context is seeded from `base`'s artifact for
+    /// the same slot, verbatim where the netlist hashes agree. `cancel` is
+    /// polled between per-context compile phases: when it reports `true`,
+    /// the compile stops with [`CompileError::DeadlineExceeded`] — how a
+    /// server stops burning a worker on a job whose deadline lapsed
+    /// mid-service.
+    pub(crate) fn build(
+        arch: &ArchSpec,
+        circuits: &[Netlist],
+        options: &CompileOptions,
+        fingerprint: DesignFingerprint,
+        rec: &Recorder,
+        base: Option<&CompiledDesign>,
+        cancel: Option<&(dyn Fn() -> bool + Sync)>,
+    ) -> Result<(CompiledDesign, DeltaStats), CompileError> {
         let start = std::time::Instant::now();
-        let fingerprint = DesignFingerprint::new(arch, circuits, options);
         debug_assert!(
-            fingerprint.env_matches(&base.fingerprint),
+            base.is_none_or(|b| fingerprint.env_matches(&b.fingerprint)),
             "delta base compiled under a different arch / route options"
         );
+        // No base is an empty one: every context then compiles cold.
+        let (artifacts, hashes): (&[ContextArtifacts], &[u64]) =
+            base.map_or((&[], &[]), |b| (&b.artifacts, &b.fingerprint.contexts));
         let seeds: Vec<DeltaSeed<'_>> = fingerprint
             .context_hashes()
             .iter()
             .enumerate()
-            .map(|(c, h)| match base.artifacts.get(c) {
-                Some(a) if base.fingerprint.contexts.get(c) == Some(h) => DeltaSeed::Unchanged(a),
+            .map(|(c, h)| match artifacts.get(c) {
+                Some(a) if hashes.get(c) == Some(h) => DeltaSeed::Unchanged(a),
                 Some(a) => DeltaSeed::Changed(a),
                 None => DeltaSeed::Cold,
             })

@@ -235,7 +235,8 @@ impl RestoreJob {
         }
     }
 
-    /// Maximum queue wait before [`ServeError::Deadline`].
+    /// Maximum time since submission before [`ServeError::Deadline`],
+    /// checked at dequeue and between per-context recompile phases.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self

@@ -39,11 +39,11 @@ pub struct ServeReport {
     pub shed_tenant_inflight: u64,
     /// Sheds caused by a custom policy reason.
     pub shed_policy: u64,
-    /// Compile jobs answered from the content-addressed cache.
+    /// Design lookups by compile and restore jobs answered from the cache.
     pub cache_hits: u64,
-    /// Compile jobs that had to compile.
+    /// Design lookups by compile and restore jobs that had to compile.
     pub cache_misses: u64,
-    /// Exact-miss compiles that found a near-match base (same arch/route
+    /// Exact-miss lookups that found a near-match base (same arch/route
     /// options, overlapping contexts) and ran the delta path instead of a
     /// cold compile. A subset of `cache_misses`.
     pub cache_near_hits: u64,

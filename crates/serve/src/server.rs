@@ -19,8 +19,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use mcfpga_arch::ArchSpec;
+use mcfpga_netlist::Netlist;
 use mcfpga_obs::Recorder;
-use mcfpga_sim::{CompileError, DeltaStats, KernelScratch, SimError, LANES};
+use mcfpga_sim::{CompileError, CompileOptions, DeltaStats, KernelScratch, SimError, LANES};
 
 use crate::admission::{AdmissionContext, AdmissionDecision, JobKind};
 use crate::cache::DesignCache;
@@ -76,6 +78,28 @@ struct SessionState {
     lane_cycles: u64,
 }
 
+impl SessionState {
+    /// A fresh session's state: every lane of every context starts from the
+    /// design's power-on register state (bit broadcast across the 64 lanes).
+    fn power_on(design: &CompiledDesign) -> SessionState {
+        SessionState {
+            regs: (0..design.n_contexts())
+                .map(|c| {
+                    design
+                        .initial_registers(c)
+                        .iter()
+                        .map(|&b| if b { !0u64 } else { 0 })
+                        .collect()
+                })
+                .collect(),
+            scratch: KernelScratch::new(),
+            active_context: 0,
+            words_stepped: 0,
+            lane_cycles: 0,
+        }
+    }
+}
+
 /// One tenant's session. The compiled design is shared and immutable; only
 /// [`SessionState`] is private to the session, which is what keeps tenants
 /// from contaminating each other. The design and tenant label sit *outside*
@@ -89,31 +113,22 @@ struct Session {
     state: Mutex<SessionState>,
 }
 
-impl Session {
-    fn new(design: Arc<CompiledDesign>, tenant: String) -> Session {
-        // Every lane of every context starts from the design's power-on
-        // register state (bit broadcast across the 64 lanes).
-        let regs = (0..design.n_contexts())
-            .map(|c| {
-                design
-                    .initial_registers(c)
-                    .iter()
-                    .map(|&b| if b { !0u64 } else { 0 })
-                    .collect()
-            })
-            .collect();
-        Session {
-            design,
-            tenant,
-            state: Mutex::new(SessionState {
-                regs,
-                scratch: KernelScratch::new(),
-                active_context: 0,
-                words_stepped: 0,
-                lane_cycles: 0,
-            }),
-        }
-    }
+/// Register a session running `design` from `state` and return its fresh
+/// id — the one constructor compiles and restores share.
+fn open_session(
+    inner: &ServerInner,
+    design: Arc<CompiledDesign>,
+    tenant: String,
+    state: SessionState,
+) -> SessionId {
+    let id = next_session_id();
+    let session = Session {
+        design,
+        tenant,
+        state: Mutex::new(state),
+    };
+    inner.sessions.lock().unwrap().insert(id, Arc::new(session));
+    id
 }
 
 struct QueuedJob {
@@ -473,29 +488,28 @@ impl Server {
     }
 
     /// Resume a [`SessionSnapshot`] as a fresh session on this server — the
-    /// synchronous control-plane form of [`RestoreJob`]. The design is
-    /// resolved through the cache by the fingerprint recomputed from the
-    /// snapshot's carried compile request, delta/cold-compiling on a miss;
-    /// subsequent output is bit-identical to the uninterrupted run.
+    /// synchronous control-plane form of [`RestoreJob`], with no deadline.
+    /// The design is resolved through the cache by the fingerprint
+    /// recomputed from the snapshot's carried compile request,
+    /// delta/cold-compiling on a miss; the lookup is charged to the
+    /// snapshot's tenant. Subsequent output is bit-identical to the
+    /// uninterrupted run.
     pub fn restore_session(&self, snapshot: SessionSnapshot) -> Result<RestoreOutcome, ServeError> {
-        if let Err(reason) = snapshot.validate_shape() {
-            return Err(ServeError::SnapshotMismatch {
+        snapshot
+            .validate_shape()
+            .map_err(|reason| ServeError::SnapshotMismatch {
                 detail: reason.to_string(),
-            });
-        }
+            })?;
         let job = JobId(self.inner.next_job.fetch_add(1, Ordering::Relaxed));
-        let (session, design, recompiled, delta, refingerprinted) =
-            do_restore(&self.inner, &snapshot, job)?;
-        Ok(RestoreOutcome {
+        let meta = JobMeta {
             job,
-            session,
-            design,
-            recompiled,
-            delta,
-            refingerprinted,
-            wait_us: 0,
-            service_us: 0,
-        })
+            tenant: snapshot.tenant.clone(),
+            kind: JobKind::Restore,
+            crec: self.inner.rec.correlated(job.raw(), &snapshot.tenant),
+            enqueued: Instant::now(),
+            deadline: None,
+        };
+        do_restore(&self.inner, &snapshot, &meta)
     }
 
     /// Drop a session's private state. Sim jobs naming it afterwards fail
@@ -612,7 +626,8 @@ impl Drop for Server {
     }
 }
 
-/// Everything `finish` needs to attribute one serviced job.
+/// Everything a job's processing and `finish` need to attribute it. A
+/// synchronous control-plane call builds one too, with no deadline.
 struct JobMeta {
     job: JobId,
     tenant: String,
@@ -622,6 +637,16 @@ struct JobMeta {
     /// budget checked between per-context compile phases.
     enqueued: Instant,
     deadline: Option<std::time::Duration>,
+}
+
+/// The span and trace-event name a job of `kind` is timed under.
+fn job_span_name(kind: JobKind) -> &'static str {
+    match kind {
+        JobKind::Compile => "compile_job",
+        JobKind::Sim => "sim_job",
+        JobKind::Checkpoint => "checkpoint_job",
+        JobKind::Restore => "restore_job",
+    }
 }
 
 fn worker_loop(inner: &ServerInner) {
@@ -679,26 +704,19 @@ fn worker_loop(inner: &ServerInner) {
             deadline: queued.deadline,
         };
         let start = Instant::now();
-        let result = match queued.request {
-            Request::Compile(job) => {
-                let _span = meta.crec.span("compile_job");
-                let _g = meta.crec.begin("compile_job", &[]);
-                process_compile(inner, job, &meta).map(Outcome::Compile)
-            }
-            Request::Sim(job) => {
-                let _span = meta.crec.span("sim_job");
-                let _g = meta.crec.begin("sim_job", &[]);
-                process_sim(inner, &job, &meta).map(Outcome::Sim)
-            }
-            Request::Checkpoint(job) => {
-                let _span = meta.crec.span("checkpoint_job");
-                let _g = meta.crec.begin("checkpoint_job", &[]);
-                process_checkpoint(inner, &job, &meta).map(Outcome::Checkpoint)
-            }
-            Request::Restore(job) => {
-                let _span = meta.crec.span("restore_job");
-                let _g = meta.crec.begin("restore_job", &[]);
-                process_restore(inner, &job, &meta).map(Outcome::Restore)
+        let result = {
+            let name = job_span_name(kind);
+            let _span = meta.crec.span(name);
+            let _g = meta.crec.begin(name, &[]);
+            match queued.request {
+                Request::Compile(job) => process_compile(inner, job, &meta).map(Outcome::Compile),
+                Request::Sim(job) => process_sim(inner, &job, &meta).map(Outcome::Sim),
+                Request::Checkpoint(job) => {
+                    process_checkpoint(inner, &job, &meta).map(Outcome::Checkpoint)
+                }
+                Request::Restore(job) => {
+                    do_restore(inner, &job.snapshot, &meta).map(Outcome::Restore)
+                }
             }
         };
         finish(inner, start, wait_us, result, &queued.shared, &meta);
@@ -748,113 +766,10 @@ fn process_compile(
     meta: &JobMeta,
 ) -> Result<CompileOutcome, ServeError> {
     let fp = DesignFingerprint::new(&job.arch, &job.circuits, &job.options);
-    let key = fp.key();
-    let cached = inner.cache.lock().unwrap().get(key);
-    let hit = cached.is_some();
-    inner.tenants.on_cache(&meta.tenant, hit);
-    meta.crec
-        .instant("cache_lookup", &[("hit", hit.into()), ("key", key.into())]);
-    let mut delta: Option<DeltaStats> = None;
-    let (design, cache_hit) = match cached {
-        Some(design) => {
-            inner.rec.incr("serve.cache_hits", 1);
-            (design, true)
-        }
-        None => {
-            inner.rec.incr("serve.cache_misses", 1);
-            // On an exact miss, look for a near match: a cached design
-            // compiled under the same arch/route options sharing the most
-            // per-context netlist hashes. If one exists, only the changed
-            // contexts are recompiled; the rest are reused bit-for-bit.
-            let near = inner.cache.lock().unwrap().near_match(&fp);
-            // In-service deadline enforcement: the compile polls this
-            // between per-context phases, so a job whose budget lapses
-            // mid-service stops instead of burning the worker to the end.
-            let enqueued = meta.enqueued;
-            let deadline = meta.deadline;
-            let cancel_fn = move || deadline.is_some_and(|d| enqueued.elapsed() > d);
-            let cancel: Option<&(dyn Fn() -> bool + Sync)> = if deadline.is_some() {
-                Some(&cancel_fn)
-            } else {
-                None
-            };
-            // The cache lock is NOT held across the compile: two tenants
-            // missing on the same key may both compile, but the artifact is
-            // deterministic, so either insert is correct and the queue
-            // never stalls behind a slow compile. The correlated recorder
-            // rides into the compile pipeline, so per-context map/place/
-            // route events carry this job's id.
-            let compiled = match near {
-                Some((base, shared)) => {
-                    inner.rec.incr("serve.cache.near_hit", 1);
-                    CompiledDesign::delta_compile_with(
-                        &job.arch,
-                        &job.circuits,
-                        &job.options,
-                        &meta.crec,
-                        &base,
-                        cancel,
-                    )
-                    .map(|(design, stats)| {
-                        inner
-                            .rec
-                            .incr("serve.delta.contexts_reused", stats.contexts_reused as u64);
-                        meta.crec.instant(
-                            "delta_compile",
-                            &[
-                                ("base_key", base.key().into()),
-                                ("shared_contexts", shared.into()),
-                                ("contexts_total", stats.contexts_total.into()),
-                                ("contexts_reused", stats.contexts_reused.into()),
-                                ("placements_reused", stats.placements_reused.into()),
-                                ("routes_reused", stats.routes_reused.into()),
-                            ],
-                        );
-                        delta = Some(stats);
-                        design
-                    })
-                }
-                None => CompiledDesign::compile_cancellable(
-                    &job.arch,
-                    &job.circuits,
-                    &job.options,
-                    &meta.crec,
-                    cancel,
-                ),
-            };
-            let design = match compiled {
-                Ok(design) => Arc::new(design),
-                Err(CompileError::DeadlineExceeded) => {
-                    // Serviced-but-expired: distinct from `serve.jobs_expired`
-                    // (lapsed while queued, never serviced). These jobs also
-                    // count into `serve.jobs_failed` / the tenant's `failed`
-                    // bucket, since they consumed service time.
-                    let waited_us = enqueued.elapsed().as_micros() as u64;
-                    inner.rec.incr("serve.jobs_expired_in_service", 1);
-                    meta.crec.instant(
-                        "job_expired_in_service",
-                        &[
-                            ("waited_us", waited_us.into()),
-                            (
-                                "deadline_us",
-                                (deadline.map_or(0, |d| d.as_micros() as u64)).into(),
-                            ),
-                        ],
-                    );
-                    return Err(ServeError::Deadline { waited_us });
-                }
-                Err(e) => return Err(e.into()),
-            };
-            let evicted = inner.cache.lock().unwrap().insert(key, design.clone());
-            inner.rec.incr("serve.cache_evictions", evicted);
-            (design, false)
-        }
-    };
-    let session = next_session_id();
-    inner.sessions.lock().unwrap().insert(
-        session,
-        Arc::new(Session::new(design.clone(), meta.tenant.clone())),
-    );
+    let (design, cache_hit, delta) =
+        resolve_design(inner, &job.arch, &job.circuits, &job.options, fp, meta)?;
+    let state = SessionState::power_on(&design);
+    let session = open_session(inner, design.clone(), meta.tenant.clone(), state);
     Ok(CompileOutcome {
         job: meta.job,
         design,
@@ -864,6 +779,96 @@ fn process_compile(
         wait_us: 0,
         service_us: 0,
     })
+}
+
+/// Find the design for one compile request `fp` fingerprints — the single
+/// path compiles and restores share: exact cache hit → delta compile
+/// against a cached near match → cold compile, then insert. Returns the
+/// design, whether the exact lookup hit, and the reuse stats when a near
+/// match seeded the compile. The artifact is bit-identical on every path.
+///
+/// The cache lock is NOT held across the compile: two jobs missing on the
+/// same key may both compile, but the artifact is deterministic, so either
+/// insert is correct and the queue never stalls behind a slow compile. The
+/// correlated recorder rides into the compile pipeline, so per-context
+/// map/place/route events carry the job's id.
+fn resolve_design(
+    inner: &ServerInner,
+    arch: &ArchSpec,
+    circuits: &[Netlist],
+    options: &CompileOptions,
+    fp: DesignFingerprint,
+    meta: &JobMeta,
+) -> Result<(Arc<CompiledDesign>, bool, Option<DeltaStats>), ServeError> {
+    let key = fp.key();
+    let cached = inner.cache.lock().unwrap().get(key);
+    let hit = cached.is_some();
+    inner.tenants.on_cache(&meta.tenant, hit);
+    meta.crec
+        .instant("cache_lookup", &[("hit", hit.into()), ("key", key.into())]);
+    if let Some(design) = cached {
+        inner.rec.incr("serve.cache_hits", 1);
+        return Ok((design, true, None));
+    }
+    inner.rec.incr("serve.cache_misses", 1);
+    // On an exact miss, look for a near match: a cached design compiled
+    // under the same arch/route options sharing the most per-context
+    // netlist hashes. If one exists, only the changed contexts are
+    // recompiled; the rest are reused bit-for-bit.
+    let near = inner.cache.lock().unwrap().near_match(&fp);
+    if near.is_some() {
+        inner.rec.incr("serve.cache.near_hit", 1);
+    }
+    // In-service deadline enforcement: the compile polls this between
+    // per-context phases, so a job whose budget lapses mid-service stops
+    // instead of burning the worker to the end.
+    let enqueued = meta.enqueued;
+    let expired = meta.deadline.map(|d| move || enqueued.elapsed() > d);
+    let cancel = expired.as_ref().map(|f| f as &(dyn Fn() -> bool + Sync));
+    let base = near.as_ref().map(|(base, _)| &**base);
+    let built = CompiledDesign::build(arch, circuits, options, fp, &meta.crec, base, cancel);
+    let (design, stats) = match built {
+        Ok(built) => built,
+        Err(CompileError::DeadlineExceeded) => {
+            // Serviced-but-expired: distinct from `serve.jobs_expired`
+            // (lapsed while queued, never serviced). These jobs also count
+            // into `serve.jobs_failed` / the tenant's `failed` bucket, since
+            // they consumed service time.
+            let waited_us = enqueued.elapsed().as_micros() as u64;
+            let deadline_us = meta.deadline.map_or(0, |d| d.as_micros() as u64);
+            inner.rec.incr("serve.jobs_expired_in_service", 1);
+            meta.crec.instant(
+                "job_expired_in_service",
+                &[
+                    ("waited_us", waited_us.into()),
+                    ("deadline_us", deadline_us.into()),
+                ],
+            );
+            return Err(ServeError::Deadline { waited_us });
+        }
+        Err(e) => return Err(e.into()),
+    };
+    let delta = near.map(|(base, shared)| {
+        inner
+            .rec
+            .incr("serve.delta.contexts_reused", stats.contexts_reused as u64);
+        meta.crec.instant(
+            "delta_compile",
+            &[
+                ("base_key", base.key().into()),
+                ("shared_contexts", shared.into()),
+                ("contexts_total", stats.contexts_total.into()),
+                ("contexts_reused", stats.contexts_reused.into()),
+                ("placements_reused", stats.placements_reused.into()),
+                ("routes_reused", stats.routes_reused.into()),
+            ],
+        );
+        stats
+    });
+    let design = Arc::new(design);
+    let evicted = inner.cache.lock().unwrap().insert(key, design.clone());
+    inner.rec.incr("serve.cache_evictions", evicted);
+    Ok((design, false, delta))
 }
 
 fn process_sim(
@@ -946,25 +951,6 @@ fn process_checkpoint(
     })
 }
 
-fn process_restore(
-    inner: &ServerInner,
-    job: &RestoreJob,
-    meta: &JobMeta,
-) -> Result<RestoreOutcome, ServeError> {
-    let (session, design, recompiled, delta, refingerprinted) =
-        do_restore(inner, &job.snapshot, meta.job)?;
-    Ok(RestoreOutcome {
-        job: meta.job,
-        session,
-        design,
-        recompiled,
-        delta,
-        refingerprinted,
-        wait_us: 0,
-        service_us: 0,
-    })
-}
-
 /// The checkpoint core shared by the synchronous
 /// [`Server::checkpoint_session`] and the queued [`CheckpointJob`] path:
 /// serialize the session's full compile request plus its mutable state,
@@ -1011,84 +997,30 @@ fn do_checkpoint(
     Ok(snapshot)
 }
 
-/// What [`do_restore`] hands back: the fresh session id, the resolved
-/// design, whether it was recompiled, the delta stats if the near-match
-/// path ran, and whether the snapshot's stored key had to be re-derived.
-type Restored = (
-    SessionId,
-    Arc<CompiledDesign>,
-    bool,
-    Option<DeltaStats>,
-    bool,
-);
-
 /// The restore core shared by the synchronous [`Server::restore_session`]
-/// and the queued [`RestoreJob`] path. Resolution order: recompute the
-/// fingerprint from the snapshot's carried request (authoritative — the
-/// recorded `design_key` is never trusted across builds) → exact cache hit
-/// → delta compile against a cached near match → cold compile; the artifact
-/// is bit-identical on every path. The restored register state is validated
-/// against the resolved design before the session goes live.
+/// and the queued [`RestoreJob`]. The fingerprint is recomputed from the
+/// snapshot's carried request (authoritative — the recorded `design_key` is
+/// never trusted across builds) and resolved through [`resolve_design`],
+/// exactly as a compile of that request would be. The restored register
+/// state is validated against the resolved design before the session goes
+/// live.
 fn do_restore(
     inner: &ServerInner,
     snapshot: &SessionSnapshot,
-    job: JobId,
-) -> Result<Restored, ServeError> {
-    let crec = inner.rec.correlated(job.raw(), &snapshot.tenant);
+    meta: &JobMeta,
+) -> Result<RestoreOutcome, ServeError> {
     let fp = snapshot.fingerprint();
     let key = fp.key();
     let refingerprinted = key != snapshot.design_key;
-    let cached = inner.cache.lock().unwrap().get(key);
-    let mut delta: Option<DeltaStats> = None;
-    let (design, recompiled) = match cached {
-        Some(design) => (design, false),
-        None => {
-            inner.rec.incr("serve.restore.recompiles", 1);
-            let near = inner.cache.lock().unwrap().near_match(&fp);
-            let compiled = match near {
-                Some((base, shared)) => {
-                    inner.rec.incr("serve.cache.near_hit", 1);
-                    CompiledDesign::delta_compile_with(
-                        &snapshot.arch,
-                        &snapshot.circuits,
-                        &snapshot.options,
-                        &crec,
-                        &base,
-                        None,
-                    )
-                    .map(|(design, stats)| {
-                        inner
-                            .rec
-                            .incr("serve.delta.contexts_reused", stats.contexts_reused as u64);
-                        crec.instant(
-                            "delta_compile",
-                            &[
-                                ("base_key", base.key().into()),
-                                ("shared_contexts", shared.into()),
-                                ("contexts_total", stats.contexts_total.into()),
-                                ("contexts_reused", stats.contexts_reused.into()),
-                                ("placements_reused", stats.placements_reused.into()),
-                                ("routes_reused", stats.routes_reused.into()),
-                            ],
-                        );
-                        delta = Some(stats);
-                        design
-                    })
-                }
-                None => CompiledDesign::compile_cancellable(
-                    &snapshot.arch,
-                    &snapshot.circuits,
-                    &snapshot.options,
-                    &crec,
-                    None,
-                ),
-            };
-            let design = Arc::new(compiled.map_err(ServeError::from)?);
-            let evicted = inner.cache.lock().unwrap().insert(key, design.clone());
-            inner.rec.incr("serve.cache_evictions", evicted);
-            (design, true)
-        }
-    };
+    let (design, hit, delta) = resolve_design(
+        inner,
+        &snapshot.arch,
+        &snapshot.circuits,
+        &snapshot.options,
+        fp,
+        meta,
+    )?;
+    let recompiled = !hit;
     // The snapshot's register state must fit the artifact its own request
     // resolves to on this build.
     if design.n_contexts() != snapshot.regs.len() {
@@ -1119,24 +1051,18 @@ fn do_restore(
             detail: "switch fingerprint diverged under an unchanged design key".to_string(),
         });
     }
-    let session = next_session_id();
-    inner.sessions.lock().unwrap().insert(
-        session,
-        Arc::new(Session {
-            design: design.clone(),
-            tenant: snapshot.tenant.clone(),
-            state: Mutex::new(SessionState {
-                regs: snapshot.regs.clone(),
-                scratch: KernelScratch::new(),
-                active_context: snapshot.active_context,
-                words_stepped: snapshot.words_stepped,
-                lane_cycles: snapshot.lane_cycles,
-            }),
-        }),
-    );
+    let state = SessionState {
+        regs: snapshot.regs.clone(),
+        scratch: KernelScratch::new(),
+        active_context: snapshot.active_context,
+        words_stepped: snapshot.words_stepped,
+        lane_cycles: snapshot.lane_cycles,
+    };
+    let session = open_session(inner, design.clone(), snapshot.tenant.clone(), state);
     inner.rec.incr("serve.restores", 1);
     if recompiled {
-        crec.instant(
+        inner.rec.incr("serve.restore.recompiles", 1);
+        meta.crec.instant(
             "session_restore_recompiled",
             &[
                 ("design_key", key.into()),
@@ -1144,7 +1070,7 @@ fn do_restore(
             ],
         );
     }
-    crec.instant(
+    meta.crec.instant(
         "session_restore",
         &[
             ("source_session", snapshot.source_session.into()),
@@ -1153,7 +1079,16 @@ fn do_restore(
             ("refingerprinted", refingerprinted.into()),
         ],
     );
-    Ok((session, design, recompiled, delta, refingerprinted))
+    Ok(RestoreOutcome {
+        job: meta.job,
+        session,
+        design,
+        recompiled,
+        delta,
+        refingerprinted,
+        wait_us: 0,
+        service_us: 0,
+    })
 }
 
 #[cfg(test)]

@@ -59,9 +59,9 @@ pub struct TenantStats {
     pub ctrl_service_us: u64,
     /// Total queue wait across serviced and expired jobs, microseconds.
     pub wait_us_total: u64,
-    /// Compile jobs answered from the design cache.
+    /// Design lookups by compile and restore jobs answered from the cache.
     pub cache_hits: u64,
-    /// Compile jobs that had to compile.
+    /// Design lookups by compile and restore jobs that had to compile.
     pub cache_misses: u64,
     /// Simulated lane-cycles consumed (`words × 64 lanes`).
     pub sim_cycles: u64,
@@ -78,7 +78,7 @@ impl TenantStats {
         self.submitted == self.accounted()
     }
 
-    /// Cache hit rate over this tenant's compile lookups (0 when none).
+    /// Hit rate over this tenant's design lookups by compile and restore jobs (0 when none).
     pub fn cache_hit_rate(&self) -> f64 {
         let lookups = self.cache_hits + self.cache_misses;
         if lookups == 0 {
@@ -162,7 +162,7 @@ impl TenantTable {
         });
     }
 
-    /// A compile job consulted the design cache.
+    /// A compile or restore job looked its design up in the cache.
     pub fn on_cache(&self, tenant: &str, hit: bool) {
         self.with(tenant, |a| {
             if hit {

@@ -8,9 +8,9 @@ use std::time::Duration;
 
 use mcfpga_arch::ArchSpec;
 use mcfpga_netlist::{library, perturb_netlist, random_netlist, Netlist, RandomNetlistParams};
-use mcfpga_obs::Recorder;
+use mcfpga_obs::{job_trace, Recorder};
 use mcfpga_serve::{
-    CompileJob, CompiledDesign, DesignFingerprint, ServeConfig, ServeError, Server,
+    CompileJob, CompiledDesign, DesignFingerprint, RestoreJob, ServeConfig, ServeError, Server,
 };
 use mcfpga_sim::CompileOptions;
 use proptest::prelude::*;
@@ -293,6 +293,157 @@ fn deadline_expiring_mid_service_fails_between_context_phases() {
         report.jobs_submitted,
         report.jobs_completed + report.jobs_failed + report.jobs_expired
     );
+}
+
+/// A queued restore that misses the cache recompiles under the same
+/// in-service deadline check as a compile: its budget is polled between
+/// per-context compile phases, not only at dequeue.
+#[test]
+fn queued_restore_expiring_mid_service_fails_between_context_phases() {
+    let origin = Server::new(ServeConfig::default().with_workers(1));
+    let session = origin
+        .submit_compile(
+            CompileJob::new(arch(), vec![library::multiplier(4); 3]).with_options(serial()),
+        )
+        .expect("accepted")
+        .wait()
+        .expect("compiles")
+        .session;
+    let snapshot = origin.checkpoint_session(session).expect("checkpoint");
+
+    // A fresh server has nothing cached, so the restore must recompile all
+    // three contexts. Retry like the compile test above: a scheduler stall
+    // at dequeue would expire the job in-queue instead.
+    let rec = Recorder::enabled();
+    let server = Server::with_recorder(ServeConfig::default().with_workers(1), &rec);
+    let mut in_service = None;
+    for _ in 0..3 {
+        let doomed = server
+            .submit_restore(
+                RestoreJob::new(snapshot.clone()).with_deadline(Duration::from_millis(3)),
+            )
+            .expect("accepted");
+        let job = doomed.job().raw();
+        match doomed.wait() {
+            Err(ServeError::Deadline { .. }) => {}
+            Ok(_) => panic!("a 3ms deadline cannot cover recompiling three multiplier contexts"),
+            Err(e) => panic!("wrong error for mid-service expiry: {e}"),
+        }
+        if server.report().jobs_expired_in_service >= 1 {
+            in_service = Some(job);
+            break;
+        }
+    }
+    let job = in_service
+        .expect("a restore's deadline must be caught between compile phases, not only at dequeue");
+    // The job's own trace shows where it stopped: inside its restore span,
+    // after a cache lookup like a compile's.
+    let events = rec.trace_events();
+    let trace = job_trace(&events, job).expect("the restore left correlated events");
+    assert!(trace.span("restore_job").is_some());
+    assert!(trace.instant("cache_lookup").is_some());
+    assert!(trace.instant("job_expired_in_service").is_some());
+    let report = server.report();
+    assert_eq!(report.jobs_failed, report.jobs_expired_in_service);
+    assert_eq!(report.restores, 0, "no expired restore opens a session");
+    assert_eq!(server.n_sessions(), 0);
+    let tenant = server
+        .tenant_stats(&snapshot.tenant)
+        .expect("the restore job is charged to the snapshot's tenant");
+    assert!(tenant.is_conserved(), "{tenant:?}");
+    assert_eq!(tenant.failed + tenant.expired, tenant.submitted);
+}
+
+/// The cache-lookup counters a design resolution moves: the server's hits,
+/// misses, near hits, evictions and reused contexts, then `tenant`'s hits
+/// and misses.
+fn lookup_counters(server: &Server, tenant: &str) -> [u64; 7] {
+    let r = server.report();
+    let t = server.tenant_stats(tenant).unwrap_or_default();
+    [
+        r.cache_hits,
+        r.cache_misses,
+        r.cache_near_hits,
+        r.cache_evictions,
+        r.delta_contexts_reused,
+        t.cache_hits,
+        t.cache_misses,
+    ]
+}
+
+/// A restore resolves its design through the same cache lookup as a
+/// compile of the snapshot's request, and moves the same counters by the
+/// same amounts — on an exact hit, a near hit and a cold miss, queued or
+/// synchronous.
+#[test]
+fn restore_counts_its_cache_lookup_like_a_compile_of_the_same_request() {
+    let base = vec![
+        library::adder(3),
+        library::multiplier(3),
+        library::parity(6),
+    ];
+    let mut request = base.clone();
+    request[2] = perturbed_distinct(&base[2], 0.05, 42);
+    let unrelated = vec![library::counter(4)];
+    let tenant = "lookups";
+    let compile = |server: &Server, circuits: &[Netlist], tenant: &str| {
+        server
+            .submit_compile(
+                CompileJob::new(arch(), circuits.to_vec())
+                    .with_options(serial())
+                    .with_tenant(tenant),
+            )
+            .expect("accepted")
+            .wait()
+            .expect("compiles")
+    };
+    let origin = Server::new(ServeConfig::default().with_workers(1));
+    let session = compile(&origin, &request, tenant).session;
+    let snapshot = origin.checkpoint_session(session).expect("checkpoint");
+    assert_eq!(snapshot.tenant, tenant);
+
+    // Each path starts from a one-design cache holding the request itself
+    // (exact hit), its base (near hit), or an unrelated design (cold miss).
+    // The expected moves are [hits, misses, near hits, evictions, contexts
+    // reused, tenant hits, tenant misses].
+    let paths: [(&str, &[Netlist], [u64; 7]); 3] = [
+        ("exact", &request, [1, 0, 0, 0, 0, 1, 0]),
+        ("near", &base, [0, 1, 1, 1, 2, 0, 1]),
+        ("cold", &unrelated, [0, 1, 0, 1, 0, 0, 1]),
+    ];
+    for (path, cached, expected) in paths {
+        let moved = |resolve: &dyn Fn(&Server)| {
+            let server = Server::with_recorder(
+                ServeConfig::default()
+                    .with_workers(1)
+                    .with_cache_capacity(1),
+                &Recorder::enabled(),
+            );
+            compile(&server, cached, "warm-up");
+            let before = lookup_counters(&server, tenant);
+            resolve(&server);
+            let after = lookup_counters(&server, tenant);
+            std::array::from_fn::<u64, 7, _>(|i| after[i] - before[i])
+        };
+        let by_compile = moved(&|server| {
+            compile(server, &request, tenant);
+        });
+        let by_job = moved(&|server| {
+            let restored = server
+                .submit_restore(RestoreJob::new(snapshot.clone()))
+                .expect("accepted")
+                .wait()
+                .expect("restores");
+            assert_eq!(restored.recompiled, path != "exact", "{path}");
+            assert_eq!(restored.delta.is_some(), path == "near", "{path}");
+        });
+        let by_call = moved(&|server| {
+            server.restore_session(snapshot.clone()).expect("restores");
+        });
+        assert_eq!(by_compile, expected, "{path}: compile");
+        assert_eq!(by_job, by_compile, "{path}: queued restore");
+        assert_eq!(by_call, by_compile, "{path}: synchronous restore");
+    }
 }
 
 #[test]
