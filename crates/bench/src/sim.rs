@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Bit-parallel compiled simulation: 64 vectors per word through the fabric
 /// model, measured against the scalar interpreter (`BENCH_sim.json`).
 pub fn run() {
-    use mcfpga::sim::{lut_fault_campaign, KernelOptions, LANES, SUPPORTED_WIDTHS};
+    use mcfpga::sim::{lut_fault_campaign, LANES, SUPPORTED_WIDTHS};
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
 
@@ -117,20 +117,21 @@ pub fn run() {
     );
     println!("  speedup: {speedup:.1}x  (first batched pass verified against scalar lanes)");
 
-    // Throughput matrix: the streaming runner swept over optimizer setting,
-    // chunk width, and thread count. Every cell is verified word-for-word
-    // against the width-1 unoptimized serial reference before it is timed;
-    // the reference itself is checked against the (scalar-verified) batched
-    // step path on every chunk and against true scalar replays on the
-    // leading chunks, all 64 lanes.
+    // Throughput matrix: the streaming runner swept over chunk width and
+    // thread count, on the kernels the device picks. Every cell is verified
+    // word-for-word against a width-1 serial reference from a twin whose
+    // census forces the unoptimized kernel; the reference itself is checked
+    // against the (scalar-verified) batched step path on every chunk and
+    // against true scalar replays on the leading chunks, all 64 lanes.
     let n_total = 2048usize; // narrow chunks per context; divisible by 8
     let mut mrng = StdRng::seed_from_u64(4021);
     let narrow: Vec<Vec<u64>> = (0..n_ctx)
         .map(|c| (0..n_total * arity[c]).map(|_| mrng.next_u64()).collect())
         .collect();
-    dev.set_kernel_options(KernelOptions::new());
+    let mut plain = MultiDevice::compile(&arch, &circuits).expect("compile");
+    plain.enable_activity_census();
     let refs: Vec<Vec<u64>> = (0..n_ctx)
-        .map(|c| dev.run_throughput(c, &narrow[c], 1, 1))
+        .map(|c| plain.run_throughput(c, &narrow[c], 1, 1))
         .collect();
     let n_outs: Vec<usize> = refs.iter().map(|r| r.len() / n_total).collect();
     let mut reference_divergences = 0usize;
@@ -165,78 +166,73 @@ pub fn run() {
 
     println!("\nthroughput matrix ({n_total} chunks/context, every cell verified, 0 = exact):");
     println!(
-        "  {:<9} {:>5} {:>7} {:>10} {:>16} {:>11}",
-        "optimizer", "width", "threads", "wall ms", "vectors/s", "divergences"
+        "  {:>5} {:>7} {:>10} {:>16} {:>11}",
+        "width", "threads", "wall ms", "vectors/s", "divergences"
     );
     let m_repeats = 4usize;
     let mut matrix: Vec<SimMatrixCell> = Vec::new();
-    for optimize in [false, true] {
-        dev.set_kernel_options(KernelOptions::new().with_optimize(optimize));
-        for &width in SUPPORTED_WIDTHS {
-            // Interleave: narrow chunk `t*width + w` becomes word `w` of
-            // wide chunk `t` — with a combinational suite every chunk word
-            // is an independent stream, so this re-chunking is exact.
-            let wide: Vec<Vec<u64>> = (0..n_ctx)
-                .map(|c| {
-                    let ni = arity[c];
-                    let mut v = vec![0u64; n_total * ni];
-                    for t in 0..n_total / width {
-                        for i in 0..ni {
-                            for w in 0..width {
-                                v[(t * ni + i) * width + w] = narrow[c][(t * width + w) * ni + i];
-                            }
+    for &width in SUPPORTED_WIDTHS {
+        // Interleave: narrow chunk `t*width + w` becomes word `w` of
+        // wide chunk `t` — with a combinational suite every chunk word
+        // is an independent stream, so this re-chunking is exact.
+        let wide: Vec<Vec<u64>> = (0..n_ctx)
+            .map(|c| {
+                let ni = arity[c];
+                let mut v = vec![0u64; n_total * ni];
+                for t in 0..n_total / width {
+                    for i in 0..ni {
+                        for w in 0..width {
+                            v[(t * ni + i) * width + w] = narrow[c][(t * width + w) * ni + i];
                         }
                     }
-                    v
-                })
-                .collect();
-            for threads in [1usize, 2] {
-                // Verification pass; also warms this cell's kernel variant.
-                let mut divergences = 0usize;
-                for c in 0..n_ctx {
-                    let out = dev.run_throughput(c, &wide[c], width, threads);
-                    for t in 0..n_total / width {
-                        for o in 0..n_outs[c] {
-                            for w in 0..width {
-                                if out[(t * n_outs[c] + o) * width + w]
-                                    != refs[c][(t * width + w) * n_outs[c] + o]
-                                {
-                                    divergences += 1;
-                                }
+                }
+                v
+            })
+            .collect();
+        for threads in [1usize, 2] {
+            // Verification pass, untimed; also warms the kernel cache.
+            let mut divergences = 0usize;
+            for c in 0..n_ctx {
+                let out = dev.run_throughput(c, &wide[c], width, threads);
+                for t in 0..n_total / width {
+                    for o in 0..n_outs[c] {
+                        for w in 0..width {
+                            if out[(t * n_outs[c] + o) * width + w]
+                                != refs[c][(t * width + w) * n_outs[c] + o]
+                            {
+                                divergences += 1;
                             }
                         }
                     }
                 }
-                let start = std::time::Instant::now();
-                for _ in 0..m_repeats {
-                    for (c, wide_c) in wide.iter().enumerate() {
-                        let _ = dev.run_throughput(c, wide_c, width, threads);
-                    }
-                }
-                let wall_us = start.elapsed().as_micros().max(1) as u64;
-                let cell_vectors = (n_total * LANES * n_ctx * m_repeats) as u64;
-                let vectors_per_sec = cell_vectors as f64 / (wall_us as f64 / 1e6);
-                println!(
-                    "  {:<9} {:>5} {:>7} {:>10.3} {:>16.0} {:>11}",
-                    if optimize { "on" } else { "off" },
-                    width,
-                    threads,
-                    wall_us as f64 / 1e3,
-                    vectors_per_sec,
-                    divergences
-                );
-                matrix.push(SimMatrixCell {
-                    optimize,
-                    width,
-                    threads,
-                    chunks_per_context: n_total,
-                    repeats: m_repeats,
-                    wall_us,
-                    vectors: cell_vectors,
-                    vectors_per_sec,
-                    divergences,
-                });
             }
+            let start = std::time::Instant::now();
+            for _ in 0..m_repeats {
+                for (c, wide_c) in wide.iter().enumerate() {
+                    let _ = dev.run_throughput(c, wide_c, width, threads);
+                }
+            }
+            let wall_us = start.elapsed().as_micros().max(1) as u64;
+            let cell_vectors = (n_total * LANES * n_ctx * m_repeats) as u64;
+            let vectors_per_sec = cell_vectors as f64 / (wall_us as f64 / 1e6);
+            println!(
+                "  {:>5} {:>7} {:>10.3} {:>16.0} {:>11}",
+                width,
+                threads,
+                wall_us as f64 / 1e3,
+                vectors_per_sec,
+                divergences
+            );
+            matrix.push(SimMatrixCell {
+                width,
+                threads,
+                chunks_per_context: n_total,
+                repeats: m_repeats,
+                wall_us,
+                vectors: cell_vectors,
+                vectors_per_sec,
+                divergences,
+            });
         }
     }
     let matrix_best_vectors_per_sec = matrix
@@ -253,10 +249,11 @@ pub fn run() {
         matrix_best_vectors_per_sec / batched_vectors_per_sec
     );
 
-    // Per-context optimizer effect on the compiled instruction streams.
+    // Per-context optimizer effect, run on the twin's plain kernels.
     let optimizer: Vec<SimOptimizerCell> = (0..n_ctx)
         .map(|c| {
-            let s = dev.kernel_optimize_stats(c).expect("context exists");
+            let kernel = plain.kernel(c).expect("context exists");
+            let (_, s) = kernel.optimize_with_stats();
             SimOptimizerCell {
                 context: c,
                 instrs_before: s.instrs_before,
@@ -362,8 +359,8 @@ pub(crate) struct SimBench {
     /// Kernel word-steps per second (vectors/sec divided by the lane count).
     batched_words_per_sec: f64,
     speedup: f64,
-    /// Streaming-runner cells: optimizer x chunk width x threads, each
-    /// verified word-for-word against the width-1 unoptimized reference.
+    /// Streaming-runner cells: chunk width x threads, each verified
+    /// word-for-word against the width-1 unoptimized reference.
     matrix: Vec<SimMatrixCell>,
     matrix_best_vectors_per_sec: f64,
     /// Mismatches of the width-1 reference against the batched step path
@@ -380,10 +377,9 @@ pub(crate) struct SimBench {
 }
 
 /// One throughput-matrix cell of `BENCH_sim.json`: the streaming runner
-/// over the mixed suite at a fixed (optimizer, width, threads) setting.
+/// over the mixed suite at a fixed (width, threads) setting.
 #[derive(Serialize, Deserialize)]
 struct SimMatrixCell {
-    optimize: bool,
     /// Chunk width in words: 64·width stimulus lanes per step.
     width: usize,
     threads: usize,
@@ -430,7 +426,6 @@ pub(crate) struct Baseline {
 /// A baseline matrix cell's coordinates.
 #[derive(Deserialize)]
 struct BaselineCell {
-    optimize: bool,
     width: usize,
     threads: usize,
 }
@@ -443,8 +438,8 @@ pub(crate) const SIM_SPEEDUP_FLOOR: f64 = 8.0;
 /// cancels out.
 pub(crate) const SIM_MATRIX_FLOOR: f64 = 3.0;
 
-fn cell(optimize: bool, width: usize, threads: usize) -> String {
-    format!("optimize={optimize},width={width},threads={threads}")
+fn cell(width: usize, threads: usize) -> String {
+    format!("width={width},threads={threads}")
 }
 
 impl Report for SimBench {
@@ -467,17 +462,15 @@ impl Report for SimBench {
         let floor = SIM_MATRIX_FLOOR * self.batched_vectors_per_sec;
         check!(c.ge(self.matrix_best_vectors_per_sec, floor));
         check!(c.eq(self.reference_divergences, 0));
-        // Exactly the 16 (optimizer, width, threads) cells, the baseline's
-        // among them, each bit-identical to the reference.
-        let mut expected = Vec::new();
-        for optimize in [false, true] {
-            for width in [1, 2, 4, 8] {
-                expected.extend([1, 2].map(|threads| cell(optimize, width, threads)));
-            }
-        }
-        let have = labels(&self.matrix, |m| cell(m.optimize, m.width, m.threads));
+        // Exactly the 8 (width, threads) cells, the baseline's among them,
+        // each bit-identical to the reference.
+        let expected: Vec<String> = [1, 2, 4, 8]
+            .into_iter()
+            .flat_map(|width| [1, 2].map(|threads| cell(width, threads)))
+            .collect();
+        let have = labels(&self.matrix, |m| cell(m.width, m.threads));
         c.same_set("matrix", &have, &expected);
-        let cells = labels(&base.matrix, |b| cell(b.optimize, b.width, b.threads));
+        let cells = labels(&base.matrix, |b| cell(b.width, b.threads));
         c.includes("matrix", &expected, &cells);
         for (m, key) in self.matrix.iter().zip(&have) {
             c.at(format_args!("matrix[{key}]."));
@@ -518,11 +511,10 @@ pub(crate) mod tests {
     use super::*;
     use crate::gate::testing::{baseline, breaks_one, load_failures, run_report};
 
-    fn cell_of(optimize: bool, width: usize, threads: usize) -> SimMatrixCell {
+    fn cell_of(width: usize, threads: usize) -> SimMatrixCell {
         let (chunks_per_context, repeats, wall_us, vectors) = (2048, 4, 1, 1);
         let (vectors_per_sec, divergences) = (1e8, 0);
         SimMatrixCell {
-            optimize,
             width,
             threads,
             chunks_per_context,
@@ -537,12 +529,10 @@ pub(crate) mod tests {
     /// A report reproducing the baseline exactly, every cell verified.
     pub(crate) fn passing() -> (SimBench, Baseline) {
         let base: Baseline = baseline("sim");
-        let mut matrix = Vec::new();
-        for optimize in [false, true] {
-            for width in [1, 2, 4, 8] {
-                matrix.extend([1, 2].map(|threads| cell_of(optimize, width, threads)));
-            }
-        }
+        let matrix = [1, 2, 4, 8]
+            .into_iter()
+            .flat_map(|width| [1, 2].map(|threads| cell_of(width, threads)))
+            .collect();
         let report = SimBench {
             experiment: "sim".into(),
             words: 512,
@@ -605,23 +595,19 @@ pub(crate) mod tests {
                 ("fault_injected", |r, _| r.fault_injected += 1),
                 ("fault_detected", |r, _| r.fault_detected -= 1),
                 ("reference_divergences", |r, _| r.reference_divergences = 1),
-                ("matrix[optimize=true,width=4,threads=2]", |r, _| {
-                    r.matrix.remove(13);
+                ("matrix[width=4,threads=2]", |r, _| {
+                    r.matrix.remove(5);
                 }),
-                ("matrix[optimize=true,width=16,threads=2]", |_, b| {
-                    b.matrix[15].width = 16
+                ("matrix[width=16,threads=2]", |_, b| b.matrix[7].width = 16),
+                ("matrix[width=16,threads=1]", |r, _| {
+                    r.matrix.push(cell_of(16, 1))
                 }),
-                ("matrix[optimize=false,width=16,threads=1]", |r, _| {
-                    r.matrix.push(cell_of(false, 16, 1))
+                ("matrix[width=4,threads=2].divergences", |r, _| {
+                    r.matrix[5].divergences = 1
                 }),
-                (
-                    "matrix[optimize=true,width=4,threads=2].divergences",
-                    |r, _| r.matrix[13].divergences = 1,
-                ),
-                (
-                    "matrix[optimize=false,width=1,threads=1].vectors_per_sec",
-                    |r, _| r.matrix[0].vectors_per_sec = 0.0,
-                ),
+                ("matrix[width=1,threads=1].vectors_per_sec", |r, _| {
+                    r.matrix[0].vectors_per_sec = 0.0
+                }),
                 ("optimizer[3]", |r, _| {
                     r.optimizer.pop();
                 }),

@@ -52,10 +52,6 @@ pub(crate) fn fnv1a_framed<'a>(mut h: u64, parts: impl ExactSizeIterator<Item = 
 /// `CompileOptions::parallel` is deliberately *excluded*: the parallel and
 /// serial schedules produce bit-for-bit identical devices (a property the
 /// sim crate's tests pin down), so they must share a cache slot.
-/// `CompileOptions::kernel` is deliberately *included*: the kernel
-/// optimizer changes the compiled instruction stream (identical behaviour,
-/// different artifact), so optimized and unoptimized designs must never
-/// alias in the cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesignFingerprint {
     arch: u64,
@@ -75,9 +71,6 @@ impl DesignFingerprint {
         route_hash = fnv1a(route_hash, &r.present_growth.to_bits().to_le_bytes());
         route_hash = fnv1a(route_hash, &r.history_increment.to_bits().to_le_bytes());
         route_hash = fnv1a(route_hash, &[r.full_ripup as u8]);
-        // Kernel lowering knobs live in the same options hash: a framed
-        // one-byte block per knob, appended after the router fields.
-        route_hash = fnv1a(route_hash, &[options.kernel.optimize as u8]);
         let contexts: Vec<u64> = circuits
             .iter()
             .map(|c| {
@@ -113,7 +106,7 @@ impl DesignFingerprint {
         self.arch
     }
 
-    /// Hash of the routing and kernel options that shape the artifact.
+    /// Hash of the router options that shape the artifact.
     pub fn route_hash(&self) -> u64 {
         self.route
     }
@@ -159,7 +152,7 @@ pub fn design_key(arch: &ArchSpec, circuits: &[Netlist], options: &CompileOption
 /// delta-compile only the contexts that changed. Immutable once built, so
 /// one `Arc<CompiledDesign>` is shared by the cache and every session
 /// running it. Compare designs through [`CompiledDesign::fingerprint`] and
-/// [`CompiledDesign::kernel`] (`compile_us` is wall-clock, not content).
+/// [`CompiledDesign::kernel`].
 #[derive(Debug, Clone)]
 pub struct CompiledDesign {
     fingerprint: DesignFingerprint,
@@ -167,7 +160,6 @@ pub struct CompiledDesign {
     initial_regs: Vec<Vec<bool>>,
     artifacts: Vec<ContextArtifacts>,
     switch_fp: u64,
-    compile_us: u64,
     /// The compile request the design was built from, retained so a session
     /// checkpoint can carry everything needed to recompile the design on a
     /// server that has never seen it (see [`crate::SessionSnapshot`]).
@@ -235,7 +227,6 @@ impl CompiledDesign {
         base: Option<&CompiledDesign>,
         cancel: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> Result<(CompiledDesign, DeltaStats), CompileError> {
-        let start = std::time::Instant::now();
         debug_assert!(
             base.is_none_or(|b| fingerprint.env_matches(&b.fingerprint)),
             "delta base compiled under a different arch / route options"
@@ -256,7 +247,7 @@ impl CompiledDesign {
         let (device, stats) =
             MultiDevice::compile_delta(arch, circuits, options, rec, &seeds, cancel)?;
         Ok((
-            CompiledDesign::from_device(device, fingerprint, start, arch, circuits, options),
+            CompiledDesign::from_device(device, fingerprint, arch, circuits, options),
             stats,
         ))
     }
@@ -264,7 +255,6 @@ impl CompiledDesign {
     fn from_device(
         mut device: MultiDevice,
         fingerprint: DesignFingerprint,
-        start: std::time::Instant,
         arch: &ArchSpec,
         circuits: &[Netlist],
         options: &CompileOptions,
@@ -286,7 +276,6 @@ impl CompiledDesign {
             initial_regs,
             artifacts: device.context_artifacts(),
             switch_fp: fp,
-            compile_us: start.elapsed().as_micros() as u64,
             arch: arch.clone(),
             circuits: circuits.to_vec(),
             options: *options,
@@ -303,7 +292,6 @@ impl CompiledDesign {
             initial_regs: Vec::new(),
             artifacts: Vec::new(),
             switch_fp: 0,
-            compile_us: 0,
             arch: ArchSpec::paper_default(),
             circuits: Vec::new(),
             options: CompileOptions::default(),
@@ -342,12 +330,6 @@ impl CompiledDesign {
     /// (and delta compiles) return the cold-compile artifact.
     pub fn fingerprint(&self) -> u64 {
         self.switch_fp
-    }
-
-    /// Wall-clock microseconds the compile took (0 on a cache hit, since
-    /// the cached artifact is returned without recompiling).
-    pub fn compile_us(&self) -> u64 {
-        self.compile_us
     }
 
     /// The architecture the design was compiled onto.
@@ -437,33 +419,12 @@ mod tests {
         assert_ne!(base.key(), perturbed.key());
         let other_opts = CompileOptions::default()
             .with_route(mcfpga_route::RouteOptions::default().with_max_iterations(7));
-        let fp_opts = DesignFingerprint::new(&arch, &[a, b], &other_opts);
+        let fp_opts = DesignFingerprint::new(&arch, &[a.clone(), b.clone()], &other_opts);
         assert!(!base.env_matches(&fp_opts), "route knobs are environment");
         assert_eq!(base.arch_hash(), fp_opts.arch_hash());
-    }
-
-    #[test]
-    fn kernel_options_separate_cache_slots() {
-        use mcfpga_netlist::library;
-        use mcfpga_sim::KernelOptions;
-        let arch = mcfpga_arch::ArchSpec::paper_default();
-        let a = library::adder(2);
-        let plain = CompileOptions::default();
-        let optimized =
-            CompileOptions::default().with_kernel_options(KernelOptions::new().with_optimize(true));
-        let fp_plain = DesignFingerprint::new(&arch, std::slice::from_ref(&a), &plain);
-        let fp_opt = DesignFingerprint::new(&arch, std::slice::from_ref(&a), &optimized);
-        // The optimizer changes the compiled instruction stream, so the two
-        // requests must never alias in the design cache.
-        assert_ne!(fp_plain.key(), fp_opt.key());
-        assert_ne!(fp_plain.route_hash(), fp_opt.route_hash());
-        assert!(
-            !fp_plain.env_matches(&fp_opt),
-            "kernel knobs are environment"
-        );
         // The parallel toggle, by contrast, stays excluded: identical slot.
-        let par = CompileOptions::default().with_parallel(true);
-        let fp_par = DesignFingerprint::new(&arch, std::slice::from_ref(&a), &par);
-        assert_eq!(fp_plain.key(), fp_par.key());
+        let serial = CompileOptions::default().with_parallel(false);
+        let fp_serial = DesignFingerprint::new(&arch, &[a, b], &serial);
+        assert_eq!(base.key(), fp_serial.key());
     }
 }

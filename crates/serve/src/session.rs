@@ -33,7 +33,7 @@ use crate::design::DesignFingerprint;
 use crate::error::MalformedReason;
 
 /// Snapshot-format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A serializable checkpoint of one session — see the module docs for the
 /// restore contract. Produced by [`crate::Server::checkpoint_session`] (or a

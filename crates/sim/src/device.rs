@@ -15,7 +15,6 @@ use mcfpga_place::{lb_of_lut, place, AnnealOptions, PlaceError, PlacementProblem
 use mcfpga_route::{nets_from_placement, route_context, RouteError, RouteOptions, RoutingGraph};
 
 use crate::multi::{build_logic_blocks, MultiDevice};
-use crate::optimize::KernelOptions;
 
 /// Compile-flow failure.
 #[derive(Debug)]
@@ -197,7 +196,6 @@ impl MultiDevice {
             lbs,
             vec![site_of; n_contexts],
             vec![0; n_contexts],
-            KernelOptions::default(),
             &Recorder::disabled(),
         ))
     }

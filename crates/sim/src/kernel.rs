@@ -36,18 +36,18 @@
 //! registers commit straight from the array.
 //!
 //! Instructions default to a mux tree over the packed table, the software
-//! form of the LUT's pass-gate tree. A k-input [`Op::Table`] dispatches on
+//! form of the LUT's pass-gate tree. A k-input `Op::Table` dispatches on
 //! its arity to a tree whose shape is fixed at compile time: `2^(k-1)` leaf
 //! chunks, each selecting between two table bits by operand 0 with no
 //! branch, then one halving level per further operand (`2^k - 1` chunk-ops
-//! in all). The optional kernel optimizer ([`crate::optimize`], enabled via
-//! [`crate::KernelOptions`]) rewrites instructions into specialized opcodes
-//! — direct AND/OR/XOR/NOT/BUF/MUX forms costing 1–4 chunk-ops — after
-//! constant folding, dead-code and duplicate elimination. Optimization
-//! never changes any lane of any output or register; it only changes the
-//! instruction stream, which is why observability consumers that address
-//! LUT positions (probes, activity census, fault campaigns) always run on
-//! the unoptimized stream.
+//! in all). The kernel optimizer ([`crate::optimize`]) rewrites
+//! instructions into specialized opcodes — direct AND/OR/XOR/NOT/BUF/MUX
+//! forms costing 1–4 chunk-ops — after constant folding, dead-code and
+//! duplicate elimination. Optimization never changes any lane of any
+//! output or register; it only changes the instruction stream. So a device
+//! optimizes its kernels unless something that addresses LUT positions is
+//! watching: probes and the activity census get the unoptimized stream,
+//! and fault campaigns lower their own.
 //!
 //! Lane semantics: lane `l` of every input, register, and output chunk is
 //! one complete, independent stimulus stream (chunk word `l / 64`, bit
@@ -345,7 +345,7 @@ impl CompiledKernel {
     }
 
     /// Whether the optimizer pass has run on this kernel (see
-    /// [`crate::KernelOptions`]).
+    /// [`crate::optimize`] for when a device runs it).
     pub fn optimized(&self) -> bool {
         self.optimized
     }

@@ -39,5 +39,5 @@ pub use observe::{
     captures_to_waveform, switch_energy_pj, ActivityReport, LutActivity, ProbeCapture, ProbeSet,
     ReconfigEnergy, DEFAULT_PROBE_CAPACITY, SWITCH_ENERGY_PJ_PER_BIT,
 };
-pub use optimize::{KernelOptions, OptimizeStats};
+pub use optimize::OptimizeStats;
 pub use temporal::FabricTemporalExecutor;

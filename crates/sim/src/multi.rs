@@ -42,7 +42,6 @@ use crate::kernel::{self, CompiledKernel, KernelScratch, LANES};
 use crate::observe::{
     self, ActivityCensus, ActivityReport, ContextProbes, ProbeCapture, ProbeSet, ReconfigEnergy,
 };
-use crate::optimize::{KernelOptions, OptimizeStats};
 use serde::{Deserialize, Serialize};
 
 /// Compile-pipeline knobs.
@@ -67,10 +66,6 @@ pub struct CompileOptions {
     pub parallel: bool,
     /// Router knobs applied to every context.
     pub route: RouteOptions,
-    /// Simulation-kernel lowering knobs (optimizer pass). Unlike `parallel`,
-    /// these *do* change the compiled artifact (the kernel instruction
-    /// stream), so the serving layer folds them into the design fingerprint.
-    pub kernel: KernelOptions,
 }
 
 impl Default for CompileOptions {
@@ -78,7 +73,6 @@ impl Default for CompileOptions {
         CompileOptions {
             parallel: true,
             route: RouteOptions::default(),
-            kernel: KernelOptions::default(),
         }
     }
 }
@@ -93,12 +87,6 @@ impl CompileOptions {
     /// Router knobs applied to every context.
     pub fn with_route(mut self, route: RouteOptions) -> Self {
         self.route = route;
-        self
-    }
-
-    /// Simulation-kernel lowering knobs applied to every context.
-    pub fn with_kernel_options(mut self, kernel: KernelOptions) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -427,9 +415,6 @@ pub struct MultiDevice {
     /// Bumped on every configuration mutation (fault injection), so cached
     /// kernels — optimized ones included — invalidate.
     config_epoch: u64,
-    /// Kernel lowering knobs from the compile options (mutable afterwards
-    /// via [`MultiDevice::set_kernel_options`]).
-    kernel_options: KernelOptions,
     scratch: KernelScratch,
     /// Scalar hot-path scratch, persistent across cycles.
     scratch_lut_vals: Vec<bool>,
@@ -737,17 +722,7 @@ impl MultiDevice {
 
         let reg_file = (0..n).collect();
         let device = Self::from_image(
-            arch,
-            graph,
-            mapped,
-            problems,
-            placements,
-            routed,
-            lbs,
-            site_of,
-            reg_file,
-            opts.kernel,
-            rec,
+            arch, graph, mapped, problems, placements, routed, lbs, site_of, reg_file, rec,
         );
         Ok((device, stats))
     }
@@ -766,7 +741,6 @@ impl MultiDevice {
         lbs: Vec<AdaptiveLogicBlock>,
         site_of: Vec<Vec<(usize, usize)>>,
         reg_file: Vec<usize>,
-        kernel_options: KernelOptions,
         rec: &Recorder,
     ) -> MultiDevice {
         let usage = {
@@ -804,7 +778,6 @@ impl MultiDevice {
             active: 0,
             kernels: vec![None; n],
             config_epoch: 0,
-            kernel_options,
             scratch: KernelScratch::new(),
             scratch_lut_vals: Vec::new(),
             scratch_in_bits: Vec::new(),
@@ -1303,8 +1276,9 @@ impl MultiDevice {
     /// Build (and cache) `context`'s compiled batch kernel, returning a
     /// shared reference. Serving layers clone the kernel out once per
     /// design so sessions can step it without holding the device. The
-    /// kernel is optimized exactly when [`MultiDevice::kernel_options`]
-    /// asks for it and no probes or census are armed.
+    /// kernel is optimized unless the activity census is enabled or
+    /// `context` has armed probes: those read pre-optimization LUT
+    /// positions, so they get the plain kernel.
     pub fn kernel(&mut self, context: usize) -> Result<&CompiledKernel, SimError> {
         self.check_context(context)?;
         self.ensure_kernel(context);
@@ -1314,33 +1288,12 @@ impl MultiDevice {
             .1)
     }
 
-    /// Current kernel lowering knobs.
-    pub fn kernel_options(&self) -> KernelOptions {
-        self.kernel_options
-    }
-
-    /// Change the kernel lowering knobs after compile. Cached kernels of the
-    /// wrong variant are rebuilt lazily on their next use; the configuration
-    /// epoch is untouched, so an unchanged variant keeps its cache.
-    pub fn set_kernel_options(&mut self, options: KernelOptions) {
-        self.kernel_options = options;
-    }
-
-    /// What one optimizer run does to `context`'s kernel — exact counts for
-    /// bench reporting, computed on a fresh unoptimized lowering without
-    /// touching the kernel cache.
-    pub fn kernel_optimize_stats(&self, context: usize) -> Result<OptimizeStats, SimError> {
-        self.check_context(context)?;
-        Ok(self.build_kernel(context).optimize_with_stats().1)
-    }
-
     /// Make `context`'s cached kernel current: lowered against the present
-    /// configuration epoch, and optimized exactly when the options ask for
-    /// it *and* nothing that addresses pre-optimization LUT positions
-    /// (armed probes, the activity census) is watching.
+    /// configuration epoch, and optimized exactly when nothing that
+    /// addresses pre-optimization LUT positions (the activity census, the
+    /// context's armed probes) is watching.
     fn ensure_kernel(&mut self, context: usize) {
-        let optimized =
-            self.kernel_options.optimize && self.census.is_none() && self.probes[context].is_none();
+        let optimized = self.census.is_none() && self.probes[context].is_none();
         if let Some((epoch, k)) = &self.kernels[context] {
             if *epoch == self.config_epoch && k.optimized() == optimized {
                 return;

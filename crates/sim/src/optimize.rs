@@ -29,41 +29,15 @@
 //!
 //! Optimization never changes any lane of any output or register chunk (the
 //! property tests drive random workloads through both kernels). It does
-//! change instruction *positions*, which is why everything that addresses
-//! LUT sites — signal probes, the activity census, the fault campaign —
-//! runs on the unoptimized kernel by construction, and why optimized and
-//! unoptimized serving artifacts hash to different design fingerprints.
-//!
-//! The pass is off by default ([`KernelOptions::optimize`] = `false`):
-//! observability-heavy and fault-injection flows want the one-to-one
-//! LUT-position correspondence, and the default keeps every existing
-//! artifact bit-stable. Throughput-mode callers opt in per compile.
+//! change instruction *positions*, so the device picks the variant from
+//! what is observing it: a context's kernel is optimized unless the
+//! activity census is enabled or that context has armed probes, whose
+//! samples address pre-optimization LUT positions. The fault campaign
+//! lowers fresh, unoptimized kernels for the same reason. No caller picks
+//! the variant.
 
 use crate::kernel::{CompiledKernel, KernelInstr, Op, Operand};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Kernel lowering knobs, threaded through `Device` / `MultiDevice` /
-/// `Flow` / serve compile options. Serializable so session snapshots can
-/// carry the full compile request across servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[non_exhaustive]
-pub struct KernelOptions {
-    /// Run the optimizer pass on every compiled kernel. Off by default —
-    /// see the module docs for the rationale.
-    pub optimize: bool,
-}
-
-impl KernelOptions {
-    pub fn new() -> KernelOptions {
-        KernelOptions::default()
-    }
-
-    pub fn with_optimize(mut self, optimize: bool) -> KernelOptions {
-        self.optimize = optimize;
-        self
-    }
-}
 
 /// What one optimization run did to a kernel — exact, seeded-run-stable
 /// counts reported by the bench and gated by the regression checker.

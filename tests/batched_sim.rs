@@ -6,7 +6,7 @@
 
 use mcfpga::netlist::{library, random_netlist, workload, RandomNetlistParams};
 use mcfpga::prelude::*;
-use mcfpga::sim::{ActivityReport, KernelOptions, LutFault, LANES};
+use mcfpga::sim::{ActivityReport, LutFault, ProbeSet, LANES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -96,13 +96,14 @@ proptest! {
     /// Heterogeneous device: independent circuits per context, random
     /// initial register state, random word-boundary context switches —
     /// batched equals 64 scalar replays on every lane, with and without an
-    /// injected LUT fault, with the kernel optimizer off and on.
+    /// injected LUT fault, on the optimized kernel and, with the census
+    /// observing, on the plain one.
     #[test]
     fn multi_batched_matches_scalar_on_all_lanes(
         seed in 0u64..10_000,
         n_ctx in 1usize..=3,
         inject in any::<bool>(),
-        optimize in any::<bool>(),
+        observed in any::<bool>(),
     ) {
         let arch = ArchSpec::paper_default();
         let circuits: Vec<Netlist> = (0..n_ctx)
@@ -119,7 +120,9 @@ proptest! {
             })
             .collect();
         let mut dev = MultiDevice::compile(&arch, &circuits).unwrap();
-        dev.set_kernel_options(KernelOptions::new().with_optimize(optimize));
+        if observed {
+            dev.enable_activity_census();
+        }
         if inject {
             dev.inject_lut_fault(LutFault { lb: 0, output: 0, plane: 0, assignment: 1 });
         }
@@ -168,10 +171,10 @@ proptest! {
         }
     }
     /// Kernel-optimizer soundness end to end: the same device stepped with
-    /// optimized batched kernels agrees with the scalar path (which never
-    /// touches kernels) on every lane — across random workloads, random
-    /// word-boundary context switches, random register state, and injected
-    /// configuration faults.
+    /// its default, optimized batched kernels agrees with the scalar path
+    /// (which never touches kernels) on every lane — across random
+    /// workloads, random word-boundary context switches, random register
+    /// state, and injected configuration faults.
     #[test]
     fn optimized_batched_matches_scalar_on_all_lanes(
         seed in 0u64..10_000,
@@ -191,7 +194,6 @@ proptest! {
             seed,
         );
         let mut dev = MultiDevice::compile_aligned(&arch, &w).unwrap();
-        dev.set_kernel_options(KernelOptions::new().with_optimize(true));
         if inject {
             dev.inject_lut_fault(LutFault { lb: 0, output: 0, plane: 0, assignment: 1 });
         }
@@ -233,14 +235,14 @@ proptest! {
 
     /// Throughput runner: every chunk word is an *independent* 64-lane
     /// stimulus stream, so a width-`W` run equals `W` separate width-1
-    /// unoptimized serial runs, word for word, at every supported width,
-    /// thread count, and optimizer setting — and the width-1 reference
-    /// itself equals 64 scalar replays, lane by lane, from the same random
-    /// register state.
+    /// unoptimized serial runs, word for word, at every supported width and
+    /// thread count, on the optimized kernel and, with the census observing,
+    /// on the plain one — and the width-1 reference itself equals 64 scalar
+    /// replays, lane by lane, from the same random register state.
     #[test]
     fn throughput_runner_matches_reference_at_every_width(
         seed in 0u64..10_000,
-        optimize in any::<bool>(),
+        observed in any::<bool>(),
     ) {
         let arch = ArchSpec::paper_default();
         let circuits = vec![random_netlist(
@@ -253,11 +255,15 @@ proptest! {
             seed,
         )];
         let mut dev = MultiDevice::compile(&arch, &circuits).unwrap();
+        // The references run on a twin whose census forces the plain kernel.
+        let mut plain = MultiDevice::compile(&arch, &circuits).unwrap();
+        plain.enable_activity_census();
         let n_inputs = 5usize;
         let n_outputs = dev.kernel(0).unwrap().n_outputs();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
         let init: Vec<bool> = (0..dev.registers(0).len()).map(|_| rng.gen_bool(0.5)).collect();
         dev.set_registers(0, &init);
+        plain.set_registers(0, &init);
         // One narrow stream per word of the widest chunk; every stream (and
         // every chunk word of a wide run) starts from the same broadcast
         // register state, because the runner never writes state back.
@@ -268,10 +274,12 @@ proptest! {
             .collect();
         let refs: Vec<Vec<u64>> = streams
             .iter()
-            .map(|s| dev.run_throughput(0, s, 1, 1))
+            .map(|s| plain.run_throughput(0, s, 1, 1))
             .collect();
         prop_assert_eq!(refs[0].len(), n_chunks * n_outputs);
-        dev.set_kernel_options(KernelOptions::new().with_optimize(optimize));
+        if observed {
+            dev.enable_activity_census();
+        }
         for &width in mcfpga::sim::SUPPORTED_WIDTHS {
             // Interleave the first `width` streams: stream `w` becomes word
             // `w` of every chunk.
@@ -327,12 +335,13 @@ proptest! {
 
 /// Regression: a fault injected after a batched step must show up in the
 /// next batched step — a stale cached kernel would silently keep replaying
-/// the pre-fault logic.
+/// the pre-fault logic. The census pins the plain kernel.
 #[test]
 fn kernel_cache_invalidates_after_fault_injection() {
     let arch = ArchSpec::paper_default();
     let circuits = vec![library::parity(8); 4];
     let mut dev = MultiDevice::compile_aligned(&arch, &circuits).unwrap();
+    dev.enable_activity_census();
     let mut rng = StdRng::seed_from_u64(42);
     let words: Vec<Vec<u64>> = (0..20)
         .map(|_| (0..8).map(|_| rng.next_u64()).collect())
@@ -376,7 +385,6 @@ fn optimized_kernel_cache_invalidates_after_fault_injection() {
     let arch = ArchSpec::paper_default();
     let circuits = vec![library::parity(8); 4];
     let mut dev = MultiDevice::compile_aligned(&arch, &circuits).unwrap();
-    dev.set_kernel_options(KernelOptions::new().with_optimize(true));
     let mut rng = StdRng::seed_from_u64(42);
     let words: Vec<Vec<u64>> = (0..20)
         .map(|_| (0..8).map(|_| rng.next_u64()).collect())
@@ -397,12 +405,33 @@ fn optimized_kernel_cache_invalidates_after_fault_injection() {
     // The faulty optimized batch agrees with the unoptimized faulty batch:
     // the optimizer folds the *post-fault* tables.
     let mut plain = MultiDevice::compile_aligned(&arch, &circuits).unwrap();
+    plain.enable_activity_census();
     plain.inject_lut_fault(fault);
     let plain_faulty: Vec<Vec<u64>> = words.iter().map(|w| plain.step_batch(w)).collect();
     assert_eq!(faulty, plain_faulty);
     dev.clear_lut_fault(fault);
     let cleared: Vec<Vec<u64>> = words.iter().map(|w| dev.step_batch(w)).collect();
     assert_eq!(healthy, cleared);
+}
+
+/// The runtime picks the kernel from what is observing the device: optimized
+/// by default, plain for a context with armed probes, and plain everywhere
+/// while the activity census is enabled — both read pre-optimization LUT
+/// positions.
+#[test]
+fn kernel_is_optimized_unless_observers_read_lut_positions() {
+    let arch = ArchSpec::paper_default();
+    let circuits = vec![library::parity(8), library::adder(2)];
+    let mut dev = MultiDevice::compile(&arch, &circuits).unwrap();
+    let optimized = |dev: &mut MultiDevice| [0, 1].map(|c| dev.kernel(c).unwrap().optimized());
+    assert_eq!(optimized(&mut dev), [true, true]);
+    let signal = dev.probe_signals(0).unwrap()[0].clone();
+    dev.arm_probes(0, &ProbeSet::new().tap(&signal)).unwrap();
+    assert_eq!(optimized(&mut dev), [false, true], "probes pin context 0");
+    dev.disarm_probes(0).unwrap();
+    assert_eq!(optimized(&mut dev), [true, true]);
+    dev.enable_activity_census();
+    assert_eq!(optimized(&mut dev), [false, false], "the census pins all");
 }
 
 /// Scalar steps resynchronise the lanes: a scalar step advances lane 0 and
