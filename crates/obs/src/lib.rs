@@ -193,6 +193,16 @@ struct Inner {
     events: Mutex<trace::TraceRing>,
 }
 
+/// The value `name` keys in `map`, created at its default first. The key is
+/// looked up by `&str`, so its `String` is allocated only on first insert,
+/// not on every counter, gauge or histogram update.
+fn entry<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
 /// Request-scoped correlation a [`Recorder::correlated`] handle stamps onto
 /// every trace event it emits.
 struct Correlation {
@@ -340,15 +350,14 @@ impl Recorder {
     /// Add `by` to the counter `name` (creating it at 0 first).
     pub fn incr(&self, name: &str, by: u64) {
         if let Some(inner) = &self.inner {
-            let mut counters = inner.counters.lock().unwrap();
-            *counters.entry(name.to_string()).or_insert(0) += by;
+            *entry(&mut inner.counters.lock().unwrap(), name) += by;
         }
     }
 
     /// Set the gauge `name` (last write wins).
     pub fn set_gauge(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.gauges.lock().unwrap().insert(name.to_string(), value);
+            *entry(&mut inner.gauges.lock().unwrap(), name) = value;
         }
     }
 
@@ -356,13 +365,7 @@ impl Recorder {
     /// storage; see [`LogHistogram`]).
     pub fn observe(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            inner
-                .histograms
-                .lock()
-                .unwrap()
-                .entry(name.to_string())
-                .or_default()
-                .record(value);
+            entry(&mut inner.histograms.lock().unwrap(), name).record(value);
         }
     }
 

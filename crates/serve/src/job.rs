@@ -158,7 +158,8 @@ impl SimJob {
 pub struct SimOutcome {
     /// The server-assigned job id — the trace correlation key.
     pub job: JobId,
-    /// One inner vec of output words per submitted cycle.
+    /// One inner vec of output words per submitted cycle: the job's own
+    /// stimulus rows, rewritten in place.
     pub outputs: Vec<Vec<u64>>,
     /// Microseconds the job waited in the queue.
     pub wait_us: u64,

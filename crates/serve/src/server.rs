@@ -710,7 +710,7 @@ fn worker_loop(inner: &ServerInner) {
             let _g = meta.crec.begin(name, &[]);
             match queued.request {
                 Request::Compile(job) => process_compile(inner, job, &meta).map(Outcome::Compile),
-                Request::Sim(job) => process_sim(inner, &job, &meta).map(Outcome::Sim),
+                Request::Sim(job) => process_sim(inner, job, &meta).map(Outcome::Sim),
                 Request::Checkpoint(job) => {
                     process_checkpoint(inner, &job, &meta).map(Outcome::Checkpoint)
                 }
@@ -871,66 +871,65 @@ fn resolve_design(
     Ok((design, false, delta))
 }
 
-fn process_sim(
-    inner: &ServerInner,
-    job: &SimJob,
-    meta: &JobMeta,
-) -> Result<SimOutcome, ServeError> {
+/// Step a sim job in one kernel call under the session lock. The job's
+/// stimulus rows come back as its output rows, rewritten in place, so the
+/// worker neither allocates an output row nor frees a stimulus row. Every
+/// row's arity is checked before any is stepped: a refused job leaves the
+/// session as it found it.
+fn process_sim(inner: &ServerInner, job: SimJob, meta: &JobMeta) -> Result<SimOutcome, ServeError> {
+    let SimJob {
+        session: id,
+        context,
+        words: mut rows,
+        ..
+    } = job;
     let session = inner
         .sessions
         .lock()
         .unwrap()
-        .get(&job.session)
+        .get(&id)
         .cloned()
-        .ok_or(ServeError::SessionNotFound {
-            session: job.session,
-        })?;
+        .ok_or(ServeError::SessionNotFound { session: id })?;
     let mut guard = session.state.lock().unwrap();
     let s = &mut *guard;
     // Defense in depth: submit-time validation already refused out-of-shape
     // stimulus for sessions it could see, but the session table is racy
     // (the session may have been restored with a different design since).
-    if job.context >= session.design.n_contexts() {
+    if context >= session.design.n_contexts() {
         return Err(SimError::ContextNotProgrammed {
-            context: job.context,
+            context,
             programmed: session.design.n_contexts(),
         }
         .into());
     }
-    let kernel = session.design.kernel(job.context);
-    let regs = &mut s.regs[job.context];
-    let mut outputs = Vec::with_capacity(job.words.len());
-    for words in &job.words {
-        if words.len() != kernel.n_inputs() {
-            return Err(SimError::InputArity {
-                context: job.context,
-                expected: kernel.n_inputs(),
-                got: words.len(),
-            }
-            .into());
+    let kernel = session.design.kernel(context);
+    if let Some(row) = rows.iter().find(|row| row.len() != kernel.n_inputs()) {
+        return Err(SimError::InputArity {
+            context,
+            expected: kernel.n_inputs(),
+            got: row.len(),
         }
-        let mut out = Vec::with_capacity(kernel.n_outputs());
-        kernel.step(words, regs, &mut s.scratch, &mut out);
-        outputs.push(out);
+        .into());
     }
+    kernel.step_rows(&mut rows, &mut s.regs[context], &mut s.scratch);
     // Lane-cycles: one queue word steps all 64 stimulus lanes one cycle.
-    let cycles = (job.words.len() * LANES) as u64;
-    s.active_context = job.context;
-    s.words_stepped += job.words.len() as u64;
+    let cycles = (rows.len() * LANES) as u64;
+    s.active_context = context;
+    s.words_stepped += rows.len() as u64;
     s.lane_cycles += cycles;
     inner.rec.incr("serve.sim_cycles", cycles);
     inner.tenants.on_sim_cycles(&meta.tenant, cycles);
     meta.crec.instant(
         "sim_batch",
         &[
-            ("context", job.context.into()),
-            ("cycles", job.words.len().into()),
+            ("context", context.into()),
+            ("cycles", rows.len().into()),
             ("lane_cycles", cycles.into()),
         ],
     );
     Ok(SimOutcome {
         job: meta.job,
-        outputs,
+        outputs: rows,
         wait_us: 0,
         service_us: 0,
     })
@@ -1104,6 +1103,58 @@ mod tests {
         assert_send::<JobHandle<CompileOutcome>>();
         assert_send::<JobHandle<SimOutcome>>();
         assert_send::<JobHandle<Outcome>>();
+    }
+
+    /// A sim job with one bad row is refused before any row is stepped, so
+    /// the session keeps the registers and counters its last good job left.
+    /// Submit-time validation refuses such a job at the door, so the test
+    /// hands it to the worker's path directly.
+    #[test]
+    fn a_job_with_one_bad_row_leaves_the_session_unchanged() {
+        let server = Server::new(ServeConfig::default().with_workers(1));
+        let circuits = vec![mcfpga_netlist::library::counter(4)];
+        let options = CompileOptions::default().with_parallel(false);
+        let compiled = server
+            .submit_compile(
+                CompileJob::new(ArchSpec::paper_default(), circuits).with_options(options),
+            )
+            .expect("accepted")
+            .wait()
+            .expect("compiles");
+        let n_in = compiled.design.kernel(0).n_inputs();
+        let good = SimJob::new(compiled.session, 0, vec![vec![!0; n_in]; 5]);
+        server
+            .submit_sim(good)
+            .expect("accepted")
+            .wait()
+            .expect("steps");
+        let session = server.inner.sessions.lock().unwrap()[&compiled.session].clone();
+        let state = |session: &Session| {
+            let s = session.state.lock().unwrap();
+            (s.regs.clone(), s.words_stepped, s.lane_cycles)
+        };
+        let before = state(&session);
+        assert_eq!(before.1, 5);
+        assert!(before.0[0].iter().any(|&w| w != 0), "the counter moved");
+        let mut rows = vec![vec![!0; n_in]; 12];
+        rows[9].push(0);
+        let meta = JobMeta {
+            job: JobId(u64::MAX),
+            tenant: DEFAULT_TENANT.to_string(),
+            kind: JobKind::Sim,
+            crec: Recorder::disabled(),
+            enqueued: Instant::now(),
+            deadline: None,
+        };
+        let result = process_sim(&server.inner, SimJob::new(compiled.session, 0, rows), &meta);
+        match result {
+            Err(ServeError::Job(e)) => assert!(
+                matches!(e.as_sim(), Some(SimError::InputArity { got, .. }) if *got == n_in + 1),
+                "{e}"
+            ),
+            other => panic!("expected an input-arity error, got {other:?}"),
+        }
+        assert_eq!(state(&session), before);
     }
 
     #[test]

@@ -56,6 +56,18 @@
 //! batch correctly. Context switches apply at chunk boundaries (all lanes
 //! switch together), matching the equivalence checker's batched driver.
 //!
+//! A served sim job is one 64-lane stream stepped through many cycles, and
+//! [`CompiledKernel::step_rows`] runs it in one call, in place: row `t` holds
+//! cycle `t`'s input words on entry and its output words on return. The
+//! registers are the only state one cycle passes to the next, so the job
+//! goes in blocks of 8 cycles. The registers' fan-in cone alone is stepped
+//! at `W = 1`, which yields each cycle's pre-edge registers; then the whole
+//! stream runs once at `W = 8`, with cycle `t` of the block as chunk word
+//! `t`. Eight cycles thus share one pass over the instruction stream, the
+//! way the fabric time-multiplexes contexts onto one set of logic blocks.
+//! Block-parallel throughput runs seed their blocks with the same cone
+//! step.
+//!
 //! Kernels are *configuration snapshots*: they must be rebuilt whenever LUT
 //! memory mutates (fault injection via `flip_lut_bit`, reprogramming). The
 //! devices cache kernels per context against a configuration epoch; the
@@ -72,6 +84,10 @@ pub const LANES: usize = 64;
 /// Chunk widths the runtime dispatcher instantiates. Powers of two up to a
 /// 512-bit chunk (8 × u64 — one AVX-512 register).
 pub const SUPPORTED_WIDTHS: &[usize] = &[1, 2, 4, 8];
+
+/// Cycles [`CompiledKernel::step_rows`] evaluates in one wide pass: one per
+/// word of the widest chunk.
+const ROW_BLOCK: usize = 8;
 
 /// A decoded operand: the optimizer's working form of a value-array slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -229,7 +245,7 @@ impl<O> KernelInstr<O> {
     }
 }
 
-/// Reusable evaluation scratch: the value array a step evaluates into.
+/// Reusable evaluation scratch: the value arrays a step evaluates into.
 /// Creating one is cheap; reusing one across cycles makes stepping
 /// allocation-free, and one scratch may serve any kernel at any width.
 #[derive(Debug, Default, Clone)]
@@ -238,6 +254,9 @@ pub struct KernelScratch {
     vals: Vec<u64>,
     /// Word offset of the instruction-result region in `vals`.
     results: usize,
+    /// The `W = 1` value array in which [`CompiledKernel::step_rows`]
+    /// advances the registers' fan-in cone.
+    cone: Vec<u64>,
 }
 
 impl KernelScratch {
@@ -250,22 +269,6 @@ impl KernelScratch {
     /// which is what the toggle census and probe consumers index.
     pub(crate) fn lut_words(&self) -> &[u64] {
         &self.vals[self.results..]
-    }
-
-    /// Size the value array for `kernel` at width `W` and fill the slots read
-    /// before they are written: constants, inputs and pre-edge registers.
-    fn prime<const W: usize>(&mut self, kernel: &CompiledKernel, inputs: &[u64], regs: &[u64]) {
-        assert_eq!(inputs.len(), kernel.n_inputs * W, "input word count");
-        assert_eq!(regs.len(), kernel.n_regs * W, "register word count");
-        let regs_at = 2 * W + inputs.len();
-        self.results = regs_at + regs.len();
-        self.vals.resize(self.results + kernel.instrs.len() * W, 0);
-        // Constants are rewritten every step: the array may last have held
-        // another kernel, or this one at another width, at the same length.
-        self.vals[..W].fill(0);
-        self.vals[W..2 * W].fill(!0);
-        self.vals[2 * W..regs_at].copy_from_slice(inputs);
-        self.vals[regs_at..self.results].copy_from_slice(regs);
     }
 }
 
@@ -412,9 +415,9 @@ impl CompiledKernel {
         scratch: &mut KernelScratch,
         out: &mut Vec<u64>,
     ) {
-        scratch.prime::<W>(self, inputs, regs);
-        let vals = scratch.vals.as_chunks_mut::<W>().0;
-        self.eval_stream(vals, scratch.results / W, |_| true);
+        scratch.results = self.slots().results() as usize * W;
+        let vals = self.prime::<W>(&mut scratch.vals, inputs, regs);
+        self.eval_stream(vals);
         out.clear();
         for &o in &self.outputs {
             out.extend_from_slice(&vals[o as usize]);
@@ -422,11 +425,73 @@ impl CompiledKernel {
         self.commit(vals, regs);
     }
 
-    /// Per-instruction mask of the registers' transitive fanin cone — the
-    /// instructions [`CompiledKernel::step_state_cone_wide`] must evaluate
-    /// to advance register state without producing outputs. The stream is
-    /// topological, so one reverse sweep closes the cone.
-    pub(crate) fn state_cone(&self) -> Vec<bool> {
+    /// Step one 64-lane stream through `rows.len()` cycles, in place: row `t`
+    /// holds cycle `t`'s `n_inputs` input words on entry and its
+    /// `n_outputs` output words on return, and `regs` (`n_regs` words)
+    /// carries the state in and out, exactly as one [`CompiledKernel::step`]
+    /// per row would.
+    ///
+    /// The registers are the only state one cycle passes to the next, so
+    /// the cycles of a block of 8 rows become the columns of one `W = 8`
+    /// chunk. For each block the registers' fan-in cone alone is stepped
+    /// at `W = 1`, and each cycle's pre-edge registers go into that cycle's
+    /// column of the wide value array's register slots; the full stream
+    /// then runs once at `W = 8`, and each column's outputs go back into
+    /// its row. A last partial block pads its spare columns with zeros and
+    /// discards them, and a register-free kernel skips the cone. Each row
+    /// is rewritten in its own buffer, which grows only if it has room for
+    /// fewer than `n_outputs` words; apart from that and the cone's index
+    /// list, nothing is allocated once the scratch has served this kernel.
+    ///
+    /// # Panics
+    ///
+    /// If any row does not hold `n_inputs` words or `regs` does not hold
+    /// `n_regs` words. Every row is checked before any is stepped.
+    pub fn step_rows(&self, rows: &mut [Vec<u64>], regs: &mut [u64], scratch: &mut KernelScratch) {
+        for row in rows.iter() {
+            assert_eq!(row.len(), self.n_inputs, "input word count");
+        }
+        assert_eq!(regs.len(), self.n_regs, "register word count");
+        let cone = self.state_cone();
+        let regs_at = self.slots().regs() as usize;
+        scratch.results = self.slots().results() as usize * ROW_BLOCK;
+        let vals = self.value_array::<ROW_BLOCK>(&mut scratch.vals);
+        for block in rows.chunks_mut(ROW_BLOCK) {
+            let n = block.len();
+            // Column t of every input slot is row t; spare columns read 0.
+            for (i, slot) in vals[2..regs_at].iter_mut().enumerate() {
+                *slot = std::array::from_fn(|t| block.get(t).map_or(0, |row| row[i]));
+            }
+            for (slot, &r) in vals[regs_at..].iter_mut().zip(regs.iter()) {
+                *slot = [0; ROW_BLOCK];
+                slot[0] = r;
+            }
+            // Column 0 of the register slots is the block's entry state,
+            // and each later column the one before advanced by the cone.
+            if self.n_regs > 0 {
+                for t in 1..n {
+                    self.step_state::<1>(&cone, &block[t - 1], regs, &mut scratch.cone);
+                    for (slot, &r) in vals[regs_at..].iter_mut().zip(regs.iter()) {
+                        slot[t] = r;
+                    }
+                }
+            }
+            self.eval_stream(vals);
+            for (t, row) in block.iter_mut().enumerate() {
+                row.clear();
+                row.extend(self.outputs.iter().map(|&o| vals[o as usize][t]));
+            }
+            for (r, &d) in regs.iter_mut().zip(&self.dffs) {
+                *r = vals[d as usize][n - 1];
+            }
+        }
+    }
+
+    /// The registers' transitive fan-in cone: the indices, in stream order,
+    /// of the instructions a register source reads directly or through
+    /// other instructions. The stream is topological, so one reverse sweep
+    /// closes the cone.
+    pub(crate) fn state_cone(&self) -> Vec<u32> {
         let slots = self.slots();
         let lut = |&s: &u32| match slots.operand(s) {
             Operand::Lut(l) => Some(l as usize),
@@ -444,41 +509,71 @@ impl CompiledKernel {
                 }
             }
         }
-        needed
+        (0..self.instrs.len() as u32)
+            .filter(|&i| needed[i as usize])
+            .collect()
     }
 
-    /// Advance only the register state by one edge, evaluating just the
-    /// instructions in `cone` (from [`CompiledKernel::state_cone`]). Used as
-    /// the sequential prologue that seeds word-block-parallel throughput
-    /// runs: the cone is closed under operand references, so skipped
-    /// instructions are never read.
-    pub(crate) fn step_state_cone_wide<const W: usize>(
+    /// Advance only the register state by one edge over `64 * W` lanes,
+    /// evaluating just the instructions of `cone` (from
+    /// [`CompiledKernel::state_cone`]) in the value array `vals`. The cone
+    /// is closed under operand references, so no skipped result is read.
+    /// [`CompiledKernel::step_rows`] steps it at `W = 1` to seed each
+    /// column of a block, and block-parallel throughput runs step it at
+    /// their own width to seed each block.
+    pub(crate) fn step_state<const W: usize>(
         &self,
-        cone: &[bool],
+        cone: &[u32],
         inputs: &[u64],
         regs: &mut [u64],
-        scratch: &mut KernelScratch,
+        vals: &mut Vec<u64>,
     ) {
-        debug_assert_eq!(cone.len(), self.instrs.len());
-        scratch.prime::<W>(self, inputs, regs);
-        let vals = scratch.vals.as_chunks_mut::<W>().0;
-        self.eval_stream(vals, scratch.results / W, |i| cone[i]);
+        let vals = self.prime::<W>(vals, inputs, regs);
+        let results = self.slots().results() as usize;
+        for &i in cone {
+            vals[results + i as usize] = eval(&self.instrs[i as usize], vals);
+        }
         self.commit(vals, regs);
     }
 
-    /// Evaluate, in stream order, each instruction `live` admits into its
-    /// result slot; `results` is the first result slot.
-    #[inline(always)]
-    fn eval_stream<const W: usize>(
+    /// `vals` sized as this kernel's value array at width `W`, in `W`-word
+    /// slots, with the constant slots written. Constants are rewritten on
+    /// every call: the array may last have held another kernel, or this one
+    /// at another width, at the same length.
+    fn value_array<'a, const W: usize>(&self, vals: &'a mut Vec<u64>) -> &'a mut [[u64; W]] {
+        let n_slots = self.slots().results() as usize + self.instrs.len();
+        vals.resize(n_slots * W, 0);
+        let vals = vals.as_chunks_mut::<W>().0;
+        vals[0] = [0; W];
+        vals[1] = [!0; W];
+        vals
+    }
+
+    /// [`CompiledKernel::value_array`] with the slots read before they are
+    /// written filled in: `inputs` and the pre-edge `regs`.
+    fn prime<'a, const W: usize>(
         &self,
-        vals: &mut [[u64; W]],
-        results: usize,
-        live: impl Fn(usize) -> bool,
-    ) {
+        vals: &'a mut Vec<u64>,
+        inputs: &[u64],
+        regs: &[u64],
+    ) -> &'a mut [[u64; W]] {
+        assert_eq!(inputs.len(), self.n_inputs * W, "input word count");
+        assert_eq!(regs.len(), self.n_regs * W, "register word count");
+        let vals = self.value_array::<W>(vals);
+        let regs_at = self.slots().regs() as usize;
+        vals[2..regs_at].as_flattened_mut().copy_from_slice(inputs);
+        vals[regs_at..regs_at + self.n_regs]
+            .as_flattened_mut()
+            .copy_from_slice(regs);
+        vals
+    }
+
+    /// Evaluate every instruction, in stream order, into its result slot.
+    #[inline(always)]
+    fn eval_stream<const W: usize>(&self, vals: &mut [[u64; W]]) {
+        let results = self.slots().results() as usize;
         for (i, instr) in self.instrs.iter().enumerate() {
-            if live(i) {
-                vals[results + i] = eval(instr, vals);
-            }
+            vals[results + i] = eval(instr, vals);
         }
     }
 
@@ -684,6 +779,25 @@ mod tests {
         )
     }
 
+    /// r' = lut0 = in0 XOR r; out = lut1 = !lut0: a register fed through
+    /// one instruction, and one instruction outside its cone.
+    fn xor_accumulator() -> CompiledKernel {
+        CompiledKernel::build(
+            1,
+            1,
+            [
+                (
+                    &[MappedSource::Input(0), MappedSource::Register(0)][..],
+                    0b0110u64,
+                ),
+                (&[MappedSource::Lut(0)][..], 0b01u64),
+            ]
+            .into_iter(),
+            std::iter::once(MappedSource::Lut(1)),
+            std::iter::once(MappedSource::Lut(0)),
+        )
+    }
+
     /// The output chunks of one register-free step at width `W`.
     fn eval_at<const W: usize>(kernel: &CompiledKernel, inputs: &[u64]) -> Vec<u64> {
         let mut out = Vec::new();
@@ -758,21 +872,7 @@ mod tests {
 
     #[test]
     fn wide_step_matches_word_by_word_narrow_steps() {
-        // A small sequential kernel: r' = lut0 = in0 XOR r; out = lut1 = !lut0.
-        let kernel = CompiledKernel::build(
-            1,
-            1,
-            [
-                (
-                    &[MappedSource::Input(0), MappedSource::Register(0)][..],
-                    0b0110u64,
-                ),
-                (&[MappedSource::Lut(0)][..], 0b01u64),
-            ]
-            .into_iter(),
-            std::iter::once(MappedSource::Lut(1)),
-            std::iter::once(MappedSource::Lut(0)),
-        );
+        let kernel = xor_accumulator();
         const W: usize = 4;
         let stim: [u64; W] = [
             0xDEAD_BEEF_0123_4567,
@@ -949,33 +1049,77 @@ mod tests {
 
     #[test]
     fn state_cone_prologue_advances_registers_like_a_full_step() {
-        // out-cone LUT 1 is not needed to advance the register; the cone
+        // Out-cone LUT 1 is not needed to advance the register; the cone
         // step must still commit the same next state as a full step.
-        let kernel = CompiledKernel::build(
-            1,
-            1,
-            [
-                (
-                    &[MappedSource::Input(0), MappedSource::Register(0)][..],
-                    0b0110u64,
-                ),
-                (&[MappedSource::Lut(0)][..], 0b01u64),
-            ]
-            .into_iter(),
-            std::iter::once(MappedSource::Lut(1)),
-            std::iter::once(MappedSource::Lut(0)),
-        );
+        let kernel = xor_accumulator();
         let cone = kernel.state_cone();
-        assert_eq!(cone, vec![true, false]);
-        let stim = [0x1234_5678_9ABC_DEF0u64];
+        assert_eq!(cone, [0]);
         let mut full_regs = vec![0xAAAAu64];
         let mut cone_regs = full_regs.clone();
-        let mut s1 = KernelScratch::new();
-        let mut s2 = KernelScratch::new();
+        let mut scratch = KernelScratch::new();
+        let mut vals = Vec::new();
         let mut out = Vec::new();
-        kernel.step(&stim, &mut full_regs, &mut s1, &mut out);
-        kernel.step_state_cone_wide::<1>(&cone, &stim, &mut cone_regs, &mut s2);
-        assert_eq!(cone_regs, full_regs);
+        for stim in words(5, 4) {
+            kernel.step(&[stim], &mut full_regs, &mut scratch, &mut out);
+            kernel.step_state::<1>(&cone, &[stim], &mut cone_regs, &mut vals);
+            assert_eq!(cone_regs, full_regs);
+        }
+    }
+
+    #[test]
+    fn row_steps_match_one_step_per_row_across_block_boundaries() {
+        use MappedSource::{Input, Lut, Register};
+        // r0' = in0 XOR r1, r1' = r0 (a register feeding a register), and
+        // one output outside the cone; plus the register-free XOR LUT.
+        let shift = CompiledKernel::build(
+            1,
+            2,
+            [
+                (&[Input(0), Register(1)][..], 0b0110u64),
+                (&[Lut(0), Register(0)][..], 0b1000),
+            ]
+            .into_iter(),
+            [Lut(1), Register(1)].into_iter(),
+            [Lut(0), Register(0)].into_iter(),
+        );
+        let kernels = [xor_accumulator(), shift, lut_kernel(2, 0b0110)];
+        let mut shared = KernelScratch::new();
+        for (k, kernel) in kernels.iter().enumerate() {
+            let (n_in, n_regs) = (kernel.n_inputs(), kernel.n_regs());
+            for len in 0..=17usize {
+                let seed = (k * 100 + len) as u64;
+                let rows: Vec<Vec<u64>> = words(seed, len * n_in)
+                    .chunks(n_in)
+                    .map(<[u64]>::to_vec)
+                    .collect();
+                let start = words(!seed, n_regs);
+                let (mut want_regs, mut want) = (start.clone(), Vec::new());
+                let mut scratch = KernelScratch::new();
+                for row in &rows {
+                    let mut out = Vec::new();
+                    kernel.step(row, &mut want_regs, &mut scratch, &mut out);
+                    want.push(out);
+                }
+                let (mut got, mut regs) = (rows.clone(), start.clone());
+                kernel.step_rows(&mut got, &mut regs, &mut shared);
+                assert_eq!(got, want, "kernel {k}, {len} rows: outputs");
+                assert_eq!(regs, want_regs, "kernel {k}, {len} rows: registers");
+            }
+        }
+    }
+
+    #[test]
+    fn step_rows_checks_every_row_before_stepping() {
+        let kernel = xor_accumulator();
+        let mut rows = vec![vec![1u64]; 9];
+        rows[8].push(0);
+        let mut regs = [0u64];
+        let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            kernel.step_rows(&mut rows, &mut regs, &mut KernelScratch::new())
+        }));
+        assert!(stepped.is_err(), "a bad row panics");
+        assert_eq!(regs, [0], "no row was stepped");
+        assert_eq!(rows[0], [1], "row 0 still holds its inputs");
     }
 
     #[test]

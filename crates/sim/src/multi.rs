@@ -1161,7 +1161,7 @@ impl MultiDevice {
                 block_regs.resize(n_blocks, Vec::new());
             } else {
                 let cone = kernel.state_cone();
-                let mut scratch = KernelScratch::new();
+                let mut vals = Vec::new();
                 let mut r = regs.clone();
                 for b in 0..n_blocks {
                     block_regs.push(r.clone());
@@ -1169,11 +1169,11 @@ impl MultiDevice {
                         break;
                     }
                     for t in b * block_len..(b + 1) * block_len {
-                        kernel.step_state_cone_wide::<W>(
+                        kernel.step_state::<W>(
                             &cone,
                             &stimulus[t * chunk_words..][..chunk_words],
                             &mut r,
-                            &mut scratch,
+                            &mut vals,
                         );
                     }
                 }

@@ -1,12 +1,13 @@
 //! Cross-crate properties of the bit-parallel compiled simulation kernel:
 //! batched and scalar stepping must agree bit-exactly on all 64 lanes over
 //! random workloads, random context switches, random register state, and
-//! injected configuration faults — and kernel caches must invalidate when
-//! the configuration mutates.
+//! injected configuration faults; a whole job stepped in place must equal
+//! one step per cycle; and kernel caches must invalidate when the
+//! configuration mutates.
 
 use mcfpga::netlist::{library, random_netlist, workload, RandomNetlistParams};
 use mcfpga::prelude::*;
-use mcfpga::sim::{ActivityReport, LutFault, ProbeSet, LANES};
+use mcfpga::sim::{ActivityReport, KernelScratch, LutFault, ProbeSet, LANES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -328,6 +329,61 @@ proptest! {
                         o
                     );
                 }
+            }
+        }
+    }
+
+    /// The served-job form of the kernel: `step_rows` over a job of every
+    /// length from 0 to 17 rows, so jobs start and end mid-block, equals one
+    /// `step` per row, outputs and final registers both. It runs on a random
+    /// netlist with or without registers and on library circuits whose
+    /// registers feed registers (an LFSR and a serial CRC), from random
+    /// register state, on the optimized kernels and, with the census
+    /// observing, on the plain ones. One scratch serves every kernel and
+    /// length.
+    #[test]
+    fn step_rows_matches_one_step_per_row(
+        seed in 0u64..10_000,
+        registered in any::<bool>(),
+        observed in any::<bool>(),
+    ) {
+        let arch = ArchSpec::paper_default();
+        let random = random_netlist(
+            RandomNetlistParams {
+                n_inputs: 5,
+                n_gates: 25,
+                n_outputs: 3,
+                dff_fraction: if registered { 0.25 } else { 0.0 },
+            },
+            seed,
+        );
+        let circuits = vec![random, library::lfsr(8, 0x8E), library::crc_serial(8, 0x07)];
+        let mut dev = MultiDevice::compile(&arch, &circuits).unwrap();
+        if observed {
+            dev.enable_activity_census();
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let mut shared = KernelScratch::new();
+        for c in 0..circuits.len() {
+            let kernel = dev.kernel(c).unwrap().clone();
+            prop_assert_eq!(kernel.optimized(), !observed);
+            let (n_in, n_regs) = (kernel.n_inputs(), kernel.n_regs());
+            for len in 0..=17usize {
+                let rows: Vec<Vec<u64>> = (0..len)
+                    .map(|_| (0..n_in).map(|_| rng.next_u64()).collect())
+                    .collect();
+                let start: Vec<u64> = (0..n_regs).map(|_| rng.next_u64()).collect();
+                let (mut want_regs, mut want) = (start.clone(), Vec::new());
+                let mut scratch = KernelScratch::new();
+                for row in &rows {
+                    let mut out = Vec::new();
+                    kernel.step(row, &mut want_regs, &mut scratch, &mut out);
+                    want.push(out);
+                }
+                let (mut got, mut regs) = (rows, start);
+                kernel.step_rows(&mut got, &mut regs, &mut shared);
+                prop_assert_eq!(&got, &want, "context {} length {}: outputs", c, len);
+                prop_assert_eq!(&regs, &want_regs, "context {} length {}: registers", c, len);
             }
         }
     }

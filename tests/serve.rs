@@ -6,7 +6,9 @@ use std::time::Duration;
 use mcfpga_arch::ArchSpec;
 use mcfpga_netlist::{library, Netlist};
 use mcfpga_obs::Recorder;
-use mcfpga_serve::{CompileJob, ServeConfig, ServeError, Server, SimJob, SubmitError};
+use mcfpga_serve::{
+    CompileJob, CompileOutcome, ServeConfig, ServeError, Server, SessionId, SimJob, SubmitError,
+};
 use mcfpga_sim::{CompileOptions, MultiDevice};
 use proptest::prelude::*;
 
@@ -189,6 +191,66 @@ fn sim_against_unknown_session_is_a_typed_error() {
     }
 }
 
+/// Run one scripted op as a served sim job on `session` and return its
+/// output rows.
+fn serve_op(
+    server: &Server,
+    compiled: &CompileOutcome,
+    session: SessionId,
+    op: Op,
+) -> Vec<Vec<u64>> {
+    let n_in = compiled.design.kernel(op.context).n_inputs();
+    let words = (0..op.cycles)
+        .map(|cycle| words_for(op, cycle, n_in))
+        .collect();
+    server
+        .submit_sim(SimJob::new(session, op.context, words))
+        .expect("accepted")
+        .wait()
+        .expect("sim job")
+        .outputs
+}
+
+/// A checkpoint taken after 13-cycle jobs on both contexts, which end
+/// part-way through the kernel's 8-cycle blocks, restores to a session
+/// whose next jobs match the uninterrupted session's, and both match a
+/// private replay.
+#[test]
+fn restore_after_a_mid_block_job_continues_like_the_uninterrupted_session() {
+    let circuits = vec![library::counter(4), library::lfsr(8, 0x8e)];
+    let server = Server::new(ServeConfig::default().with_workers(1));
+    let compiled = server
+        .submit_compile(CompileJob::new(arch(), circuits.clone()).with_options(serial()))
+        .expect("accepted")
+        .wait()
+        .expect("compiles");
+    let ops = [(0, 13, 7), (1, 13, 8), (0, 11, 9), (1, 5, 10)].map(|(context, cycles, seed)| Op {
+        context,
+        cycles,
+        seed,
+    });
+    let head: Vec<_> = ops[..2]
+        .iter()
+        .map(|&op| serve_op(&server, &compiled, compiled.session, op))
+        .collect();
+    let snapshot = server
+        .checkpoint_session(compiled.session)
+        .expect("checkpoint");
+    assert_eq!(snapshot.words_stepped, 26);
+    let restored = server.restore_session(snapshot).expect("restore").session;
+    let tail = |session| -> Vec<_> {
+        ops[2..]
+            .iter()
+            .map(|&op| serve_op(&server, &compiled, session, op))
+            .collect()
+    };
+    let uninterrupted = tail(compiled.session);
+    assert_eq!(tail(restored), uninterrupted);
+    let reference = reference_outputs(&circuits, &ops);
+    assert_eq!(head, reference[..2]);
+    assert_eq!(uninterrupted, reference[2..]);
+}
+
 /// One tenant's scripted activity: which context to run and how many
 /// batched cycles, with a seed expanding to the input words.
 #[derive(Debug, Clone, Copy)]
@@ -237,11 +299,13 @@ proptest! {
     /// Two tenants run *stateful* circuits (a counter and an LFSR, so any
     /// register leakage changes outputs) through one server concurrently,
     /// under a proptest-chosen interleaving of contexts and cycle counts.
-    /// Each tenant's outputs must equal a private replay of its own script.
+    /// Jobs of 0 to 19 cycles start and end part-way through the kernel's
+    /// 8-cycle blocks. Each tenant's outputs must equal a private replay of
+    /// its own script.
     #[test]
     fn concurrent_sessions_never_cross_contaminate(
         raw_ops in proptest::collection::vec(
-            (0usize..2, 0usize..2, 1usize..4, 0u64..u64::MAX),
+            (0usize..2, 0usize..2, 0usize..20, 0u64..u64::MAX),
             2..10,
         )
     ) {
@@ -281,18 +345,7 @@ proptest! {
                     scope.spawn(move || {
                         tenant_ops
                             .iter()
-                            .map(|op| {
-                                let n_in = compiled.design.kernel(op.context).n_inputs();
-                                let words = (0..op.cycles)
-                                    .map(|cycle| words_for(*op, cycle, n_in))
-                                    .collect();
-                                server
-                                    .submit_sim(SimJob::new(compiled.session, op.context, words))
-                                    .expect("accepted")
-                                    .wait()
-                                    .expect("sim job")
-                                    .outputs
-                            })
+                            .map(|&op| serve_op(server, compiled, compiled.session, op))
                             .collect()
                     })
                 })
