@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Bit-parallel compiled simulation: 64 vectors per word through the fabric
 /// model, measured against the scalar interpreter (`BENCH_sim.json`).
 pub fn run() {
-    use mcfpga::sim::{lut_fault_campaign, LANES, SUPPORTED_WIDTHS};
+    use mcfpga::sim::{lut_fault_campaign, KernelScratch, LANES, SUPPORTED_WIDTHS};
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
 
@@ -128,9 +128,9 @@ pub fn run() {
     println!("  speedup: {speedup:.1}x  (first batched pass verified against scalar lanes)");
 
     // Throughput matrix: the streaming runner swept over chunk width and
-    // thread count, on the kernels the device picks. Every cell is verified
-    // word-for-word against a width-1 serial reference from a twin whose
-    // census forces the unoptimized kernel; the reference itself is checked
+    // thread count, on the device's optimized kernels. Every cell is
+    // verified word-for-word against a width-1 serial reference stepped on
+    // the device's unoptimized lowering; the reference itself is checked
     // against the (scalar-verified) batched step path on every chunk and
     // against true scalar replays on the leading chunks, all 64 lanes.
     let n_total = 2048usize; // narrow chunks per context; divisible by 8
@@ -138,10 +138,17 @@ pub fn run() {
     let narrow: Vec<Vec<u64>> = (0..n_ctx)
         .map(|c| (0..n_total * arity[c]).map(|_| mrng.next_u64()).collect())
         .collect();
-    let mut plain = MultiDevice::compile(&arch, &circuits).expect("compile");
-    plain.enable_activity_census();
+    let plain = dev.compiled_kernels();
+    let (mut scratch, mut out) = (KernelScratch::new(), Vec::new());
     let refs: Vec<Vec<u64>> = (0..n_ctx)
-        .map(|c| plain.run_throughput(c, &narrow[c], 1, 1))
+        .map(|c| {
+            let mut words = Vec::new();
+            for inputs in narrow[c].chunks(arity[c]) {
+                plain[c].step(inputs, &mut [], &mut scratch, &mut out);
+                words.extend_from_slice(&out);
+            }
+            words
+        })
         .collect();
     let n_outs: Vec<usize> = refs.iter().map(|r| r.len() / n_total).collect();
     let mut reference_divergences = 0usize;
@@ -259,11 +266,10 @@ pub fn run() {
         matrix_best_vectors_per_sec / batched_vectors_per_sec
     );
 
-    // Per-context optimizer effect, run on the twin's plain kernels.
+    // Per-context optimizer effect, run on the unoptimized lowering.
     let optimizer: Vec<SimOptimizerCell> = (0..n_ctx)
         .map(|c| {
-            let kernel = plain.kernel(c).expect("context exists");
-            let (_, s) = kernel.optimize_with_stats();
+            let (_, s) = plain[c].optimize_with_stats();
             SimOptimizerCell {
                 context: c,
                 instrs_before: s.instrs_before,

@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::equivalence::reference_states;
-use crate::kernel::{extract_lane, KernelScratch, LANES};
+use crate::kernel::{extract_lane, KernelScratch, Operand, LANES};
 use crate::multi::{effective_workers, fan_out, MultiDevice};
 
 /// One injected fault.
@@ -155,12 +155,14 @@ pub fn lut_fault_campaign(
     // fault flips its folded table bits on a clone.
     device.reset();
     let kernels = device.compiled_kernels();
-    // Fault sites address pre-optimization LUT positions; the optimizer
-    // renumbers, merges, and deletes instructions, so the campaign is only
-    // meaningful on the direct lowering. `compiled_kernels` guarantees that
-    // by construction — this assert pins the contract.
+    // Fault sites address LUT positions; the optimizer renumbers, merges,
+    // and folds instructions, so the campaign is only meaningful on the
+    // direct lowering, where every position's slot is its own
+    // instruction's result. `compiled_kernels` guarantees that by
+    // construction — this assert pins the contract.
     assert!(
-        kernels.iter().all(|k| !k.optimized()),
+        kernels.iter().all(|k| (0..k.lut_slots.len() as u32)
+            .all(|l| k.lut_slots[l as usize] == k.slots().slot(Operand::Lut(l)))),
         "fault campaign requires unoptimized kernels"
     );
     let init_regs = device.states.clone();

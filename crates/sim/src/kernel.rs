@@ -29,7 +29,8 @@
 //! | 0, 1 | constant 0, constant 1 |
 //! | next `n_inputs` | the input chunks |
 //! | next `n_regs` | the register chunks as they were before the edge |
-//! | next `n_instrs` | one result chunk per instruction, in stream order |
+//! | next `n_instrs` | one result chunk per live instruction, in stream order |
+//! | then, observed steps only | one result chunk per dead-tail instruction |
 //!
 //! Every operand, output tap and register source is a `u32` slot, so reading
 //! one is a fixed-size copy at word `slot * W` with no case analysis, and
@@ -44,10 +45,17 @@
 //! instructions into specialized opcodes — direct AND/OR/XOR/NOT/BUF/MUX
 //! forms costing 1–4 chunk-ops — after constant folding, dead-code and
 //! duplicate elimination. Optimization never changes any lane of any
-//! output or register; it only changes the instruction stream. So a device
-//! optimizes its kernels unless something that addresses LUT positions is
-//! watching: probes and the activity census get the unoptimized stream,
-//! and fault campaigns lower their own.
+//! output or register; it only changes the instruction stream, so a device
+//! always runs its kernels optimized (fault campaigns lower their own).
+//!
+//! Observers still address mapped LUT positions, so a kernel keeps a
+//! LUT → slot map: the slot holding each position's value after a step.
+//! Lowering makes it the identity; the optimizer points a folded LUT at a
+//! constant slot, a copied or merged one at its source's slot. Dead-code
+//! elimination moves the LUTs no output or register reads to a tail after
+//! the live stream. A step evaluates only the live stream; an observed step
+//! then evaluates the tail too (`CompiledKernel::observe`), and probes and
+//! the activity census read every LUT's value by slot.
 //!
 //! Lane semantics: lane `l` of every input, register, and output chunk is
 //! one complete, independent stimulus stream (chunk word `l / 64`, bit
@@ -252,8 +260,6 @@ impl<O> KernelInstr<O> {
 pub struct KernelScratch {
     /// `W` words per slot, laid out as the module docs describe.
     vals: Vec<u64>,
-    /// Word offset of the instruction-result region in `vals`.
-    results: usize,
     /// The `W = 1` value array in which [`CompiledKernel::step_rows`]
     /// advances the registers' fan-in cone.
     cone: Vec<u64>,
@@ -264,33 +270,34 @@ impl KernelScratch {
         KernelScratch::default()
     }
 
-    /// The last step's instruction results, in place: instruction `l`'s
-    /// chunk is `[l*W .. (l+1)*W]`, so at `W = 1` it is one word per LUT,
-    /// which is what the toggle census and probe consumers index.
-    pub(crate) fn lut_words(&self) -> &[u64] {
-        &self.vals[self.results..]
+    /// The `w` words of `slot` in the last step's value array, stepped at
+    /// width `w`.
+    pub(crate) fn chunk(&self, slot: u32, w: usize) -> &[u64] {
+        &self.vals[slot as usize * w..][..w]
     }
 }
 
 /// A context's netlist + configuration lowered to a flat instruction stream.
 ///
-/// `PartialEq` compares the full lowered form (instruction stream, output
-/// and register taps) — two equal kernels are bit-for-bit interchangeable,
-/// which is how the serving layer proves cache hits return the cold-compile
-/// artifact.
+/// `PartialEq` compares the full lowered form (instruction stream and its
+/// dead tail, output and register taps, LUT → slot map) — two equal kernels
+/// are bit-for-bit interchangeable, which is how the serving layer proves
+/// cache hits return the cold-compile artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledKernel {
     pub(crate) n_inputs: usize,
     pub(crate) n_regs: usize,
+    /// The live stream, then the dead tail that only observed steps
+    /// evaluate.
     pub(crate) instrs: Vec<KernelInstr>,
+    /// Length of the live stream: the instructions every step evaluates.
+    pub(crate) n_live: usize,
     /// Output taps and register sources, as slots.
     pub(crate) outputs: Vec<u32>,
     pub(crate) dffs: Vec<u32>,
-    /// True once the optimizer pass has rewritten the stream. Optimized
-    /// kernels compute identical lanes but their instruction positions no
-    /// longer address mapped LUT positions — probes, census, and fault
-    /// campaigns must use unoptimized kernels.
-    pub(crate) optimized: bool,
+    /// Per mapped LUT position, the slot holding its value after an
+    /// observed step.
+    pub(crate) lut_slots: Vec<u32>,
 }
 
 impl CompiledKernel {
@@ -306,7 +313,7 @@ impl CompiledKernel {
     ) -> CompiledKernel {
         let slots = SlotLayout::new(n_inputs, n_regs);
         let slot = |s: MappedSource| slots.slot(Operand::from_source(s));
-        let instrs = luts
+        let instrs: Vec<KernelInstr> = luts
             .map(|(srcs, table)| {
                 assert!(srcs.len() <= 6, "LUT wider than the 6-input fabric mode");
                 let mut ops = [0u32; 6];
@@ -324,10 +331,13 @@ impl CompiledKernel {
         CompiledKernel {
             n_inputs,
             n_regs,
+            n_live: instrs.len(),
+            lut_slots: (0..instrs.len() as u32)
+                .map(|l| slots.slot(Operand::Lut(l)))
+                .collect(),
             instrs,
             outputs: outputs.map(slot).collect(),
             dffs: dffs.map(slot).collect(),
-            optimized: false,
         }
     }
 
@@ -339,28 +349,50 @@ impl CompiledKernel {
         self.n_regs
     }
 
+    /// Instructions one step evaluates: the live stream, without the dead
+    /// tail.
     pub fn n_instrs(&self) -> usize {
-        self.instrs.len()
+        self.n_live
     }
 
     pub fn n_outputs(&self) -> usize {
         self.outputs.len()
     }
 
-    /// Whether the optimizer pass has run on this kernel (see
-    /// [`crate::optimize`] for when a device runs it).
-    pub fn optimized(&self) -> bool {
-        self.optimized
+    /// Total chunk-ops one step costs across the live stream — the metric
+    /// the optimizer shrinks and the bench reports before/after.
+    pub fn word_ops(&self) -> usize {
+        self.live().iter().map(|i| i.word_ops()).sum()
     }
 
-    /// Total chunk-ops one step costs across the stream — the metric the
-    /// optimizer shrinks and the bench reports before/after.
-    pub fn word_ops(&self) -> usize {
-        self.instrs.iter().map(|i| i.word_ops()).sum()
+    fn live(&self) -> &[KernelInstr] {
+        &self.instrs[..self.n_live]
     }
 
     pub(crate) fn slots(&self) -> SlotLayout {
         SlotLayout::new(self.n_inputs, self.n_regs)
+    }
+
+    /// The slot holding `src`'s value after an observed step: a LUT
+    /// position's through the LUT → slot map, any other source's own.
+    pub(crate) fn source_slot(&self, src: MappedSource) -> u32 {
+        match src {
+            MappedSource::Lut(l) => self.lut_slots[l],
+            s => self.slots().slot(Operand::from_source(s)),
+        }
+    }
+
+    /// Complete the value array of the step just run at width `W` for its
+    /// observers: evaluate the dead tail into its slots, so every slot of
+    /// the LUT → slot map holds its LUT's value. The input and register
+    /// slots still hold the step's inputs and pre-edge registers.
+    pub(crate) fn observe<const W: usize>(&self, scratch: &mut KernelScratch) {
+        let results = self.slots().results() as usize;
+        scratch.vals.resize((results + self.instrs.len()) * W, 0);
+        let vals = scratch.vals.as_chunks_mut::<W>().0;
+        for (i, instr) in self.instrs.iter().enumerate().skip(self.n_live) {
+            vals[results + i] = eval(instr, vals);
+        }
     }
 
     /// Flip one folded truth-table bit — the kernel-level image of
@@ -415,7 +447,6 @@ impl CompiledKernel {
         scratch: &mut KernelScratch,
         out: &mut Vec<u64>,
     ) {
-        scratch.results = self.slots().results() as usize * W;
         let vals = self.prime::<W>(&mut scratch.vals, inputs, regs);
         self.eval_stream(vals);
         out.clear();
@@ -454,7 +485,6 @@ impl CompiledKernel {
         assert_eq!(regs.len(), self.n_regs, "register word count");
         let cone = self.state_cone();
         let regs_at = self.slots().regs() as usize;
-        scratch.results = self.slots().results() as usize * ROW_BLOCK;
         let vals = self.value_array::<ROW_BLOCK>(&mut scratch.vals);
         for block in rows.chunks_mut(ROW_BLOCK) {
             let n = block.len();
@@ -497,19 +527,18 @@ impl CompiledKernel {
             Operand::Lut(l) => Some(l as usize),
             _ => None,
         };
-        let mut needed = vec![false; self.instrs.len()];
+        let mut needed = vec![false; self.n_live];
         for l in self.dffs.iter().filter_map(lut) {
             needed[l] = true;
         }
-        for i in (0..self.instrs.len()).rev() {
+        for (i, instr) in self.live().iter().enumerate().rev() {
             if needed[i] {
-                let instr = &self.instrs[i];
                 for l in instr.ops[..instr.n_ops as usize].iter().filter_map(lut) {
                     needed[l] = true;
                 }
             }
         }
-        (0..self.instrs.len() as u32)
+        (0..self.n_live as u32)
             .filter(|&i| needed[i as usize])
             .collect()
     }
@@ -536,12 +565,12 @@ impl CompiledKernel {
         self.commit(vals, regs);
     }
 
-    /// `vals` sized as this kernel's value array at width `W`, in `W`-word
-    /// slots, with the constant slots written. Constants are rewritten on
-    /// every call: the array may last have held another kernel, or this one
-    /// at another width, at the same length.
+    /// `vals` sized as this kernel's value array at width `W` up to the
+    /// live stream, in `W`-word slots, with the constant slots written.
+    /// Constants are rewritten on every call: the array may last have held
+    /// another kernel, or this one at another width, at the same length.
     fn value_array<'a, const W: usize>(&self, vals: &'a mut Vec<u64>) -> &'a mut [[u64; W]] {
-        let n_slots = self.slots().results() as usize + self.instrs.len();
+        let n_slots = self.slots().results() as usize + self.n_live;
         vals.resize(n_slots * W, 0);
         let vals = vals.as_chunks_mut::<W>().0;
         vals[0] = [0; W];
@@ -568,11 +597,12 @@ impl CompiledKernel {
         vals
     }
 
-    /// Evaluate every instruction, in stream order, into its result slot.
+    /// Evaluate every live instruction, in stream order, into its result
+    /// slot.
     #[inline(always)]
     fn eval_stream<const W: usize>(&self, vals: &mut [[u64; W]]) {
         let results = self.slots().results() as usize;
-        for (i, instr) in self.instrs.iter().enumerate() {
+        for (i, instr) in self.live().iter().enumerate() {
             vals[results + i] = eval(instr, vals);
         }
     }

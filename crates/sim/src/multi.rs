@@ -409,11 +409,11 @@ pub struct MultiDevice {
     /// Per register file: one 64-lane word per register (bit `l` = lane `l`).
     pub(crate) states: Vec<Vec<u64>>,
     active: usize,
-    /// Per-context compiled kernels, tagged with the configuration epoch
+    /// Per-context optimized kernels, tagged with the configuration epoch
     /// they snapshot and rebuilt lazily when stale.
     kernels: Vec<Option<(u64, CompiledKernel)>>,
     /// Bumped on every configuration mutation (fault injection), so cached
-    /// kernels — optimized ones included — invalidate.
+    /// kernels invalidate.
     config_epoch: u64,
     scratch: KernelScratch,
     /// Scalar hot-path scratch, persistent across cycles.
@@ -975,22 +975,18 @@ impl MultiDevice {
         self.check_arity(c, inputs.len())?;
         self.ensure_kernel(c);
         let file = self.reg_file[c];
-        // Register probes report the in-cycle (pre-edge) values — what the
-        // outputs and downstream logic saw — so snapshot before the kernel
-        // commits the next state in place. One branch when disarmed.
-        if let Some(probes) = self.probes[c].as_mut() {
-            probes.snapshot_regs(&self.states[file]);
-        }
         let kernel = &self.kernels[c].as_ref().expect("kernel built above").1;
         kernel.step(inputs, &mut self.states[file], &mut self.scratch, out);
-        // Observability taps, each one branch when disarmed: the census
-        // reads the LUT words the kernel just computed, probes record
-        // inputs / pre-edge registers / LUT outputs into their rings.
-        if let Some(census) = self.census.as_mut() {
-            census.record(c, file, self.scratch.lut_words());
-        }
-        if let Some(probes) = self.probes[c].as_mut() {
-            probes.sample(inputs, self.scratch.lut_words());
+        // Observers, one branch when there are none: the dead tail
+        // completes the value array, and the census and probes read it.
+        if self.census.is_some() || self.probes[c].is_some() {
+            kernel.observe::<1>(&mut self.scratch);
+            if let Some(census) = self.census.as_mut() {
+                census.record(c, file, kernel, &self.scratch, 1);
+            }
+            if let Some(probes) = self.probes[c].as_mut() {
+                probes.sample(kernel, &self.scratch, 1);
+            }
         }
         self.recorder.incr("sim.words", 1);
         self.recorder.incr("sim.cycles", LANES as u64);
@@ -1019,10 +1015,15 @@ impl MultiDevice {
         )
     }
 
-    /// Every context's kernel, freshly lowered and always *unoptimized*:
-    /// the fault campaign flips table bits on clones addressed by
-    /// pre-optimization LUT positions, instead of mutating the device.
-    pub(crate) fn compiled_kernels(&self) -> Vec<CompiledKernel> {
+    /// Every context's kernel, freshly lowered and *unoptimized*: one
+    /// instruction per LUT position, in position order, evaluated by every
+    /// step. The fault campaign flips table bits on clones of these,
+    /// addressed by LUT position, instead of mutating the device; they are
+    /// also the independent reference the optimized kernels
+    /// ([`MultiDevice::kernel`]) are held to, and their
+    /// [`CompiledKernel::optimize_with_stats`] reports what the optimizer
+    /// does to each context.
+    pub fn compiled_kernels(&self) -> Vec<CompiledKernel> {
         (0..self.n_contexts())
             .map(|c| self.build_kernel(c))
             .collect()
@@ -1091,9 +1092,9 @@ impl MultiDevice {
     /// pool's scoped threads. Sequential circuits first run a cheap
     /// register-cone-only prologue to seed each block's starting registers,
     /// so the parallel run is bit-for-bit identical to the serial one.
-    /// Armed probes or an enabled census force `threads = 1` and the
-    /// unoptimized kernel (their samples address pre-optimization LUT
-    /// positions, in stream order), and sample all 64·width lanes.
+    /// Armed probes or an enabled census force `threads = 1`, because their
+    /// samples are stream-ordered, and sample all 64·width lanes of the
+    /// same optimized kernel through its LUT → slot map.
     pub fn try_run_throughput(
         &mut self,
         context: usize,
@@ -1207,16 +1208,16 @@ impl MultiDevice {
             let mut step_out = Vec::with_capacity(n_outputs * W);
             for t in 0..n_chunks {
                 let stim = &stimulus[t * chunk_words..][..chunk_words];
-                if let Some(probes) = self.probes[c].as_mut() {
-                    probes.snapshot_regs(&regs);
-                }
                 kernel.step_wide::<W>(stim, &mut regs, &mut scratch, &mut step_out);
                 out[t * n_outputs * W..][..n_outputs * W].copy_from_slice(&step_out);
-                if let Some(census) = self.census.as_mut() {
-                    census.record_wide(c, file, scratch.lut_words(), W);
-                }
-                if let Some(probes) = self.probes[c].as_mut() {
-                    probes.sample_wide(stim, scratch.lut_words(), W);
+                if observed {
+                    kernel.observe::<W>(&mut scratch);
+                    if let Some(census) = self.census.as_mut() {
+                        census.record(c, file, &kernel, &scratch, W);
+                    }
+                    if let Some(probes) = self.probes[c].as_mut() {
+                        probes.sample(&kernel, &scratch, W);
+                    }
                 }
             }
             self.scratch = scratch;
@@ -1276,9 +1277,10 @@ impl MultiDevice {
     /// Build (and cache) `context`'s compiled batch kernel, returning a
     /// shared reference. Serving layers clone the kernel out once per
     /// design so sessions can step it without holding the device. The
-    /// kernel is optimized unless the activity census is enabled or
-    /// `context` has armed probes: those read pre-optimization LUT
-    /// positions, so they get the plain kernel.
+    /// kernel is always optimized: it equals
+    /// `compiled_kernels()[context].optimize()`, and arming probes or
+    /// enabling the census never rebuilds it, because they read it through
+    /// its LUT → slot map.
     pub fn kernel(&mut self, context: usize) -> Result<&CompiledKernel, SimError> {
         self.check_context(context)?;
         self.ensure_kernel(context);
@@ -1289,21 +1291,13 @@ impl MultiDevice {
     }
 
     /// Make `context`'s cached kernel current: lowered against the present
-    /// configuration epoch, and optimized exactly when nothing that
-    /// addresses pre-optimization LUT positions (the activity census, the
-    /// context's armed probes) is watching.
+    /// configuration epoch, then optimized.
     fn ensure_kernel(&mut self, context: usize) {
-        let optimized = self.census.is_none() && self.probes[context].is_none();
-        if let Some((epoch, k)) = &self.kernels[context] {
-            if *epoch == self.config_epoch && k.optimized() == optimized {
-                return;
-            }
+        if matches!(&self.kernels[context], Some((epoch, _)) if *epoch == self.config_epoch) {
+            return;
         }
         let _span = self.recorder.span("sim_kernel_build");
-        let mut kernel = self.build_kernel(context);
-        if optimized {
-            kernel = kernel.optimize();
-        }
+        let kernel = self.build_kernel(context).optimize();
         self.kernels[context] = Some((self.config_epoch, kernel));
     }
 

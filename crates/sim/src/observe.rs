@@ -6,9 +6,14 @@
 //! [`LANES`] stimulus lanes of the probed signal at one clock
 //! edge, exactly as the kernel computed it. Samples land in bounded
 //! per-probe ring buffers (oldest first out), so probing a long run cannot
-//! grow memory without bound. When no probes are armed the batched step
-//! pays a single branch — the disabled path stays on the bit-identical
-//! ~86M vectors/s contract.
+//! grow memory without bound.
+//!
+//! Probes and the census read the value array of the device's one,
+//! optimized kernel through its LUT → slot map (see [`crate::kernel`]): an
+//! input or register probe reads its input or pre-edge register slot, and a
+//! LUT its mapped slot, which an observed step fills by also evaluating the
+//! kernel's dead tail. Observing therefore never changes which kernel runs,
+//! and an unobserved step pays one branch.
 //!
 //! The census counts per-LUT output toggles and high cycles across lanes;
 //! [`LutActivity::power_proxy`] multiplies the toggle rate by the LUT's
@@ -24,7 +29,7 @@ use mcfpga_map::{MappedNetlist, MappedSource};
 use mcfpga_obs::Waveform;
 use serde::{Deserialize, Serialize};
 
-use crate::kernel::LANES;
+use crate::kernel::{CompiledKernel, KernelScratch, LANES};
 use crate::multi::SimError;
 
 /// Default bound on buffered samples per probe (words; one word = one clock
@@ -102,23 +107,10 @@ impl ProbeSet {
     }
 }
 
-/// What one armed probe reads inside the kernel step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProbeTarget {
-    Input(usize),
-    Register(usize),
-    Lut(usize),
-    Const(bool),
-}
-
-fn resolve_target(m: &MappedNetlist, name: &str) -> Option<ProbeTarget> {
+/// The signal `name` taps in `m`.
+fn resolve_target(m: &MappedNetlist, name: &str) -> Option<MappedSource> {
     if let Some((_, src)) = m.outputs.iter().find(|(n, _)| n == name) {
-        return Some(match *src {
-            MappedSource::Input(i) => ProbeTarget::Input(i),
-            MappedSource::Register(r) => ProbeTarget::Register(r),
-            MappedSource::Lut(l) => ProbeTarget::Lut(l),
-            MappedSource::Const(v) => ProbeTarget::Const(v),
-        });
+        return Some(*src);
     }
     let indexed = |prefix: &str, bound: usize| -> Option<usize> {
         name.strip_prefix(prefix)
@@ -126,15 +118,12 @@ fn resolve_target(m: &MappedNetlist, name: &str) -> Option<ProbeTarget> {
             .filter(|&i| i < bound)
     };
     if let Some(i) = indexed("in", m.n_inputs) {
-        return Some(ProbeTarget::Input(i));
+        return Some(MappedSource::Input(i));
     }
     if let Some(r) = indexed("reg", m.dffs.len()) {
-        return Some(ProbeTarget::Register(r));
+        return Some(MappedSource::Register(r));
     }
-    if let Some(l) = indexed("lut", m.luts.len()) {
-        return Some(ProbeTarget::Lut(l));
-    }
-    None
+    indexed("lut", m.luts.len()).map(MappedSource::Lut)
 }
 
 /// Every name [`ProbeSet`] resolution accepts for `m`: declared outputs,
@@ -147,11 +136,11 @@ pub(crate) fn probe_names(m: &MappedNetlist) -> Vec<String> {
     names
 }
 
-/// One armed probe: target plus its bounded sample ring.
+/// One armed probe: the signal it taps plus its bounded sample ring.
 #[derive(Debug, Clone)]
 struct ArmedProbe {
     name: String,
-    target: ProbeTarget,
+    source: MappedSource,
     ring: VecDeque<u64>,
     dropped: u64,
 }
@@ -161,11 +150,6 @@ struct ArmedProbe {
 pub(crate) struct ContextProbes {
     probes: Vec<ArmedProbe>,
     capacity: usize,
-    /// Register words as they stood *before* the kernel's clock edge — the
-    /// values the cycle's logic (and the outputs) actually saw. Snapshotted
-    /// by [`ContextProbes::snapshot_regs`] because the kernel commits the
-    /// next state in place.
-    pre_regs: Vec<u64>,
 }
 
 impl ContextProbes {
@@ -181,9 +165,9 @@ impl ContextProbes {
             .iter()
             .map(|name| {
                 resolve_target(m, name)
-                    .map(|target| ArmedProbe {
+                    .map(|source| ArmedProbe {
                         name: name.clone(),
-                        target,
+                        source,
                         ring: VecDeque::with_capacity(set.capacity.min(1 << 16)),
                         dropped: 0,
                     })
@@ -196,44 +180,17 @@ impl ContextProbes {
         Ok(ContextProbes {
             probes,
             capacity: set.capacity,
-            pre_regs: Vec::new(),
         })
     }
 
-    /// Snapshot the register words before the kernel commits the clock
-    /// edge, so register probes can report the in-cycle (pre-edge) values.
-    pub(crate) fn snapshot_regs(&mut self, regs: &[u64]) {
-        self.pre_regs.clear();
-        self.pre_regs.extend_from_slice(regs);
-    }
-
-    /// Record one sample word per probe for the step the kernel just ran.
-    /// Register probes read the [`ContextProbes::snapshot_regs`] snapshot —
-    /// the pre-edge values this cycle's logic saw; `lut_words` are the LUT
-    /// output words the kernel just computed.
-    pub(crate) fn sample(&mut self, inputs: &[u64], lut_words: &[u64]) {
-        self.sample_wide(inputs, lut_words, 1);
-    }
-
-    /// As [`ContextProbes::sample`] at chunk width `w`: every buffer is
-    /// signal-major with `w` words per signal, and each probe records all
-    /// `w` words of its chunk — all `64 * w` lanes — per step. The ring
-    /// capacity still counts words, so a width-`w` step consumes `w` slots.
-    pub(crate) fn sample_wide(&mut self, inputs: &[u64], lut_words: &[u64], w: usize) {
+    /// Record the step `kernel` just ran at chunk width `w` into `scratch`,
+    /// observed (`CompiledKernel::observe`): each probe reads its signal's
+    /// slot, all `w` words — all `64 * w` lanes — of it. A register slot
+    /// holds the pre-edge value this cycle's logic saw. The ring capacity
+    /// counts words, so a width-`w` step consumes `w` of it.
+    pub(crate) fn sample(&mut self, kernel: &CompiledKernel, scratch: &KernelScratch, w: usize) {
         for p in &mut self.probes {
-            for k in 0..w {
-                let word = match p.target {
-                    ProbeTarget::Input(i) => inputs[i * w + k],
-                    ProbeTarget::Register(r) => self.pre_regs[r * w + k],
-                    ProbeTarget::Lut(l) => lut_words[l * w + k],
-                    ProbeTarget::Const(v) => {
-                        if v {
-                            u64::MAX
-                        } else {
-                            0
-                        }
-                    }
-                };
+            for &word in scratch.chunk(kernel.source_slot(p.source), w) {
                 if p.ring.len() == self.capacity {
                     p.ring.pop_front();
                     p.dropped += 1;
@@ -335,46 +292,57 @@ impl ActivityCensus {
         }
     }
 
-    pub(crate) fn record(&mut self, c: usize, file: usize, lut_words: &[u64]) {
-        self.count(c, file, lut_words, 1, !0);
-    }
-
-    /// As [`ActivityCensus::record`] at chunk width `w`: `lut_words` holds
-    /// `w` words per LUT (LUT-major), every one of the `64 * w` lanes counts
+    /// Count the step `kernel` just ran at chunk width `w` into `scratch`,
+    /// observed (`CompiledKernel::observe`): each LUT's chunk is read
+    /// through the LUT → slot map, every one of the `64 * w` lanes counts
     /// toward toggles/ones, and the step adds `64 * w` lane-cycles. The
     /// previous-word baseline is per (LUT, chunk word); if the observed
     /// width changes between steps the baseline restarts at all-zero,
     /// matching the first-step convention.
-    pub(crate) fn record_wide(&mut self, c: usize, file: usize, lut_words: &[u64], w: usize) {
-        self.count(c, file, lut_words, w, !0);
+    pub(crate) fn record(
+        &mut self,
+        c: usize,
+        file: usize,
+        kernel: &CompiledKernel,
+        scratch: &KernelScratch,
+        w: usize,
+    ) {
+        let slots = &kernel.lut_slots;
+        self.count(c, file, slots.len(), w, !0, |i, k| {
+            scratch.chunk(slots[i], w)[k]
+        });
     }
 
     /// A scalar step: lane 0's LUT values count one lane-cycle, then become
     /// the file's baseline on every lane (the step wrote lane 0's state to
     /// all of them).
     pub(crate) fn record_lane(&mut self, c: usize, file: usize, lut_vals: &[bool]) {
-        let words: Vec<u64> = lut_vals
-            .iter()
-            .map(|&v| crate::multi::lane_word(v))
-            .collect();
-        self.count(c, file, &words, 1, 1);
+        let word = |i: usize, _| crate::multi::lane_word(lut_vals[i]);
+        self.count(c, file, lut_vals.len(), 1, 1, word);
     }
 
-    /// Count the `lanes`-masked bits of `w`-word chunks against the file's
-    /// baseline, then make them the new baseline.
-    fn count(&mut self, c: usize, file: usize, lut_words: &[u64], w: usize, lanes: u64) {
-        let total = lut_words.len();
-        let n = total / w;
+    /// Count the `lanes`-masked bits of `n` LUTs' `w`-word chunks (word `k`
+    /// of LUT `i`'s is `word(i, k)`) against the file's baseline, then make
+    /// them the new baseline.
+    fn count(
+        &mut self,
+        c: usize,
+        file: usize,
+        n: usize,
+        w: usize,
+        lanes: u64,
+        word: impl Fn(usize, usize) -> u64,
+    ) {
         let prev = &mut self.prev[file];
-        if prev.len() != total {
+        if prev.len() != n * w {
             prev.clear();
-            prev.resize(total, 0);
+            prev.resize(n * w, 0);
         }
         self.toggles[c].resize(n, 0);
         self.ones[c].resize(n, 0);
         for i in 0..n {
             for k in 0..w {
-                let word = lut_words[i * w + k];
+                let word = word(i, k);
                 self.toggles[c][i] += ((prev[i * w + k] ^ word) & lanes).count_ones() as u64;
                 self.ones[c][i] += (word & lanes).count_ones() as u64;
                 prev[i * w + k] = word;
@@ -546,8 +514,8 @@ mod tests {
         let m = map_netlist(&library::adder(4), 6).unwrap();
         let (out_name, _) = &m.outputs[0];
         assert!(resolve_target(&m, out_name).is_some());
-        assert_eq!(resolve_target(&m, "in0"), Some(ProbeTarget::Input(0)));
-        assert_eq!(resolve_target(&m, "lut0"), Some(ProbeTarget::Lut(0)));
+        assert_eq!(resolve_target(&m, "in0"), Some(MappedSource::Input(0)));
+        assert_eq!(resolve_target(&m, "lut0"), Some(MappedSource::Lut(0)));
         assert_eq!(resolve_target(&m, "in99"), None);
         assert_eq!(resolve_target(&m, "nonsense"), None);
         let names = probe_names(&m);
@@ -561,11 +529,18 @@ mod tests {
         let m = map_netlist(&library::adder(2), 6).unwrap();
         let set = ProbeSet::new().tap("in0").with_capacity(2);
         let mut armed = ContextProbes::arm(&m, &set, 0).unwrap();
-        let luts = vec![0u64; m.luts.len()];
+        // A LUT-less kernel over the netlist's inputs: in0 is its slot 2.
+        let kernel = CompiledKernel::build(
+            m.n_inputs,
+            0,
+            std::iter::empty(),
+            std::iter::empty(),
+            std::iter::empty(),
+        );
+        let mut scratch = KernelScratch::new();
         for i in 0..5u64 {
-            let inputs = vec![i; m.n_inputs];
-            armed.snapshot_regs(&[]);
-            armed.sample(&inputs, &luts);
+            kernel.step(&vec![i; m.n_inputs], &mut [], &mut scratch, &mut Vec::new());
+            armed.sample(&kernel, &scratch, 1);
         }
         let cap = &armed.captures()[0];
         assert_eq!(cap.samples, vec![3, 4], "oldest samples evicted first");
@@ -596,9 +571,21 @@ mod tests {
 
     #[test]
     fn census_counts_toggles_and_ones_per_lut() {
+        // LUT 0 buffers input 0; LUT 1 is constant 0.
+        let kernel = CompiledKernel::build(
+            1,
+            0,
+            [(&[MappedSource::Input(0)][..], 0b10u64), (&[][..], 0)].into_iter(),
+            std::iter::empty(),
+            std::iter::empty(),
+        );
         let mut census = ActivityCensus::new(1);
-        census.record(0, 0, &[u64::MAX, 0]);
-        census.record(0, 0, &[0, 0]);
+        let mut scratch = KernelScratch::new();
+        for input in [u64::MAX, 0] {
+            kernel.step(&[input], &mut [], &mut scratch, &mut Vec::new());
+            kernel.observe::<1>(&mut scratch);
+            census.record(0, 0, &kernel, &scratch, 1);
+        }
         // LUT 0: 64 rising then 64 falling toggles, 64 high lane-cycles.
         assert_eq!(census.toggles[0][0], 128);
         assert_eq!(census.ones[0][0], 64);

@@ -7,7 +7,7 @@
 
 use mcfpga::netlist::{library, random_netlist, workload, RandomNetlistParams};
 use mcfpga::prelude::*;
-use mcfpga::sim::{ActivityReport, KernelScratch, LutFault, ProbeSet, LANES};
+use mcfpga::sim::{ActivityReport, CompiledKernel, KernelScratch, LutFault, ProbeSet, LANES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -97,8 +97,8 @@ proptest! {
     /// Heterogeneous device: independent circuits per context, random
     /// initial register state, random word-boundary context switches —
     /// batched equals 64 scalar replays on every lane, with and without an
-    /// injected LUT fault, on the optimized kernel and, with the census
-    /// observing, on the plain one.
+    /// injected LUT fault, and with and without the census observing the
+    /// same optimized kernel.
     #[test]
     fn multi_batched_matches_scalar_on_all_lanes(
         seed in 0u64..10_000,
@@ -236,9 +236,9 @@ proptest! {
 
     /// Throughput runner: every chunk word is an *independent* 64-lane
     /// stimulus stream, so a width-`W` run equals `W` separate width-1
-    /// unoptimized serial runs, word for word, at every supported width and
-    /// thread count, on the optimized kernel and, with the census observing,
-    /// on the plain one — and the width-1 reference itself equals 64 scalar
+    /// serial runs of the device's unoptimized lowering, word for word, at
+    /// every supported width and thread count, with and without the census
+    /// observing — and the width-1 reference itself equals 64 scalar
     /// replays, lane by lane, from the same random register state.
     #[test]
     fn throughput_runner_matches_reference_at_every_width(
@@ -256,15 +256,11 @@ proptest! {
             seed,
         )];
         let mut dev = MultiDevice::compile(&arch, &circuits).unwrap();
-        // The references run on a twin whose census forces the plain kernel.
-        let mut plain = MultiDevice::compile(&arch, &circuits).unwrap();
-        plain.enable_activity_census();
         let n_inputs = 5usize;
         let n_outputs = dev.kernel(0).unwrap().n_outputs();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
         let init: Vec<bool> = (0..dev.registers(0).len()).map(|_| rng.gen_bool(0.5)).collect();
         dev.set_registers(0, &init);
-        plain.set_registers(0, &init);
         // One narrow stream per word of the widest chunk; every stream (and
         // every chunk word of a wide run) starts from the same broadcast
         // register state, because the runner never writes state back.
@@ -273,9 +269,20 @@ proptest! {
         let streams: Vec<Vec<u64>> = (0..max_width)
             .map(|_| (0..n_chunks * n_inputs).map(|_| rng.next_u64()).collect())
             .collect();
+        // The references step the unoptimized lowering from the same
+        // broadcast register state.
+        let plain = dev.compiled_kernels().remove(0);
         let refs: Vec<Vec<u64>> = streams
             .iter()
-            .map(|s| plain.run_throughput(0, s, 1, 1))
+            .map(|s| {
+                let mut regs: Vec<u64> = init.iter().map(|&b| if b { !0 } else { 0 }).collect();
+                let (mut scratch, mut out, mut words) = (KernelScratch::new(), Vec::new(), Vec::new());
+                for inputs in s.chunks(n_inputs) {
+                    plain.step(inputs, &mut regs, &mut scratch, &mut out);
+                    words.extend_from_slice(&out);
+                }
+                words
+            })
             .collect();
         prop_assert_eq!(refs[0].len(), n_chunks * n_outputs);
         if observed {
@@ -338,9 +345,8 @@ proptest! {
     /// `step` per row, outputs and final registers both. It runs on a random
     /// netlist with or without registers and on library circuits whose
     /// registers feed registers (an LFSR and a serial CRC), from random
-    /// register state, on the optimized kernels and, with the census
-    /// observing, on the plain ones. One scratch serves every kernel and
-    /// length.
+    /// register state, on the optimized kernels, with and without the census
+    /// observing. One scratch serves every kernel and length.
     #[test]
     fn step_rows_matches_one_step_per_row(
         seed in 0u64..10_000,
@@ -366,7 +372,7 @@ proptest! {
         let mut shared = KernelScratch::new();
         for c in 0..circuits.len() {
             let kernel = dev.kernel(c).unwrap().clone();
-            prop_assert_eq!(kernel.optimized(), !observed);
+            prop_assert_eq!(&kernel, &dev.compiled_kernels()[c].optimize());
             let (n_in, n_regs) = (kernel.n_inputs(), kernel.n_regs());
             for len in 0..=17usize {
                 let rows: Vec<Vec<u64>> = (0..len)
@@ -391,7 +397,7 @@ proptest! {
 
 /// Regression: a fault injected after a batched step must show up in the
 /// next batched step — a stale cached kernel would silently keep replaying
-/// the pre-fault logic. The census pins the plain kernel.
+/// the pre-fault logic — while the census observes every step.
 #[test]
 fn kernel_cache_invalidates_after_fault_injection() {
     let arch = ArchSpec::paper_default();
@@ -458,36 +464,54 @@ fn optimized_kernel_cache_invalidates_after_fault_injection() {
         healthy, faulty,
         "stale optimized kernel reused pre-fault logic"
     );
-    // The faulty optimized batch agrees with the unoptimized faulty batch:
-    // the optimizer folds the *post-fault* tables.
-    let mut plain = MultiDevice::compile_aligned(&arch, &circuits).unwrap();
-    plain.enable_activity_census();
-    plain.inject_lut_fault(fault);
-    let plain_faulty: Vec<Vec<u64>> = words.iter().map(|w| plain.step_batch(w)).collect();
-    assert_eq!(faulty, plain_faulty);
+    // The faulty optimized batch agrees with the unoptimized lowering of
+    // the faulty configuration: the optimizer folds the *post-fault* tables.
+    let plain = dev.compiled_kernels().remove(0);
+    let (mut scratch, mut out) = (KernelScratch::new(), Vec::new());
+    for (word, want) in words.iter().zip(&faulty) {
+        plain.step(word, &mut [], &mut scratch, &mut out);
+        assert_eq!(&out, want);
+    }
     dev.clear_lut_fault(fault);
     let cleared: Vec<Vec<u64>> = words.iter().map(|w| dev.step_batch(w)).collect();
     assert_eq!(healthy, cleared);
 }
 
-/// The runtime picks the kernel from what is observing the device: optimized
-/// by default, plain for a context with armed probes, and plain everywhere
-/// while the activity census is enabled — both read pre-optimization LUT
-/// positions.
+/// A device runs one kernel per context whoever observes it: arming and
+/// disarming probes and enabling the activity census, with observed steps
+/// in between, leave every context's kernel equal to its optimized
+/// lowering, and no kernel is built again.
 #[test]
-fn kernel_is_optimized_unless_observers_read_lut_positions() {
+fn observers_reuse_the_optimized_kernel() {
     let arch = ArchSpec::paper_default();
     let circuits = vec![library::parity(8), library::adder(2)];
-    let mut dev = MultiDevice::compile(&arch, &circuits).unwrap();
-    let optimized = |dev: &mut MultiDevice| [0, 1].map(|c| dev.kernel(c).unwrap().optimized());
-    assert_eq!(optimized(&mut dev), [true, true]);
+    let rec = Recorder::enabled();
+    let mut dev = MultiDevice::compile_with(&arch, &circuits, &rec).unwrap();
+    let optimized: Vec<CompiledKernel> = dev
+        .compiled_kernels()
+        .iter()
+        .map(|k| k.optimize())
+        .collect();
+    let check = |dev: &mut MultiDevice, when: &str| {
+        dev.step_batch(&[!0; 8]);
+        for (c, want) in optimized.iter().enumerate() {
+            assert_eq!(dev.kernel(c).unwrap(), want, "{when}: context {c}");
+        }
+        let spans = rec.report("kernels").spans;
+        let builds = spans
+            .iter()
+            .filter(|s| s.name == "sim_kernel_build")
+            .count();
+        assert_eq!(builds, circuits.len(), "{when}: a kernel was built again");
+    };
+    check(&mut dev, "unobserved");
     let signal = dev.probe_signals(0).unwrap()[0].clone();
     dev.arm_probes(0, &ProbeSet::new().tap(&signal)).unwrap();
-    assert_eq!(optimized(&mut dev), [false, true], "probes pin context 0");
+    check(&mut dev, "probes armed");
     dev.disarm_probes(0).unwrap();
-    assert_eq!(optimized(&mut dev), [true, true]);
+    check(&mut dev, "probes disarmed");
     dev.enable_activity_census();
-    assert_eq!(optimized(&mut dev), [false, false], "the census pins all");
+    check(&mut dev, "census enabled");
 }
 
 /// Scalar steps resynchronise the lanes: a scalar step advances lane 0 and

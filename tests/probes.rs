@@ -5,9 +5,11 @@
 //! batched outputs with probes armed, disarmed, or never armed are
 //! bit-identical.
 
-use mcfpga::netlist::{random_netlist, Netlist, RandomNetlistParams};
+use mcfpga::map::mapper::MappedDff;
+use mcfpga::map::{MappedLut, MappedNetlist, MappedSource};
+use mcfpga::netlist::{random_netlist, Netlist, NodeId, RandomNetlistParams};
 use mcfpga::prelude::*;
-use mcfpga::sim::{ProbeSet, LANES, SUPPORTED_WIDTHS};
+use mcfpga::sim::{LutActivity, ProbeSet, LANES, SUPPORTED_WIDTHS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -198,9 +200,9 @@ proptest! {
     /// run: at chunk width `W`, each probe records all `W` words per step
     /// (64·W lanes), matching the width-1 captures of the interleaved
     /// streams word for word, and census toggles / lane-cycles equal the
-    /// per-stream sums. Observability also pins the kernel to its
-    /// unoptimized lowering — an optimized kernel cached by an earlier,
-    /// unobserved run must not change any sample.
+    /// per-stream sums. With `warm`, an unobserved run first caches the
+    /// optimized kernel, which arming then reuses without changing any
+    /// sample.
     #[test]
     fn wide_throughput_probes_capture_every_lane(
         seed in 0u64..10_000,
@@ -249,7 +251,7 @@ proptest! {
             }
             let mut dev = MultiDevice::compile(&arch, &circuits).unwrap();
             if warm {
-                // Caches the optimized kernel; arming must replace it.
+                // Caches the optimized kernel; arming reuses it.
                 dev.run_throughput(0, &wide, width, 3);
             }
             armed(&mut dev);
@@ -285,6 +287,117 @@ proptest! {
             prop_assert_eq!(report.lane_cycles, (n_chunks * LANES * width) as u64);
             let want: u64 = ref_toggles[..width].iter().sum();
             prop_assert_eq!(report.toggles_total, want, "width {}", width);
+        }
+    }
+}
+
+/// One context whose LUTs 2 and 3 no output or register reads: LUT 2 ORs
+/// an input, the register and the output LUT, and LUT 3 XORs LUT 2 with an
+/// input. The register toggles with input 0, and the output ANDs the
+/// register's next state with input 1.
+fn dead_tail_netlist(k: usize) -> MappedNetlist {
+    use MappedSource::{Input, Lut, Register};
+    let lut = |root: u32, inputs: Vec<MappedSource>, table: u64| MappedLut {
+        root: NodeId(root),
+        inputs,
+        table,
+    };
+    MappedNetlist {
+        name: "dead_tail".into(),
+        k,
+        luts: vec![
+            lut(3, vec![Input(0), Register(0)], 0b0110),
+            lut(4, vec![Lut(0), Input(1)], 0b1000),
+            lut(5, vec![Input(2), Register(0), Lut(1)], 0xFE),
+            lut(6, vec![Lut(2), Input(0)], 0b0110),
+        ],
+        dffs: vec![MappedDff {
+            d: Lut(0),
+            init: false,
+        }],
+        outputs: vec![("y".into(), Lut(1))],
+        n_inputs: 3,
+    }
+}
+
+/// Lane-cycles a census row was high.
+fn high_cycles(lut: &LutActivity, lane_cycles: u64) -> u64 {
+    (lut.static_probability * lane_cycles as f64).round() as u64
+}
+
+/// Observers see the LUTs the optimizer moved to the dead tail exactly as
+/// the scalar path computes them. The kernel steps fewer instructions than
+/// the context has LUTs, yet every LUT's census toggles and high cycles,
+/// and the samples of probes on the dead LUTs, equal `64 * W` scalar
+/// replays, lane by lane: at `W = 1` through `step_batch` and at `W = 8`
+/// through `run_throughput`.
+#[test]
+fn dead_luts_are_observed_like_the_scalar_path() {
+    let arch = ArchSpec::paper_default();
+    let netlist = dead_tail_netlist(arch.lut.min_inputs);
+    let (n_luts, n_inputs) = (netlist.luts.len(), netlist.n_inputs);
+    let mut dev = MultiDevice::compile_mapped(&arch, &[netlist]).unwrap();
+    assert!(
+        dev.kernel(0).unwrap().n_instrs() < n_luts,
+        "LUTs 2 and 3 are dead"
+    );
+    dev.enable_activity_census();
+    let n_chunks = 6usize;
+    let mut rng = StdRng::seed_from_u64(0xDEAD);
+    for width in [1usize, 8] {
+        let stimulus: Vec<u64> = (0..n_chunks * n_inputs * width)
+            .map(|_| rng.next_u64())
+            .collect();
+        dev.reset();
+        dev.arm_probes(0, &ProbeSet::new().tap("lut2").tap("lut3"))
+            .unwrap();
+        if width == 1 {
+            for inputs in stimulus.chunks(n_inputs) {
+                dev.step_batch(inputs);
+            }
+        } else {
+            dev.run_throughput(0, &stimulus, width, 2);
+        }
+        let census = dev.activity_census(0).unwrap();
+        let captures = dev.probe_captures(0).unwrap();
+        // Scalar replays: a LUT's value at a step is the step's change in
+        // its census high count.
+        let (mut toggles, mut high) = (vec![0u64; n_luts], vec![0u64; n_luts]);
+        for lane in 0..LANES * width {
+            dev.reset();
+            let mut before = vec![0u64; n_luts];
+            for t in 0..n_chunks {
+                let bit = |word: u64| (word >> (lane % LANES)) & 1;
+                let bits: Vec<bool> = (0..n_inputs)
+                    .map(|i| bit(stimulus[(t * n_inputs + i) * width + lane / LANES]) == 1)
+                    .collect();
+                dev.step(&bits);
+                let report = dev.activity_census(0).unwrap();
+                let now: Vec<u64> = report
+                    .luts
+                    .iter()
+                    .map(|l| high_cycles(l, report.lane_cycles))
+                    .collect();
+                for (p, cap) in captures.iter().enumerate() {
+                    let l = 2 + p;
+                    assert_eq!(
+                        bit(cap.samples[t * width + lane / LANES]),
+                        now[l] - before[l],
+                        "width {width} lane {lane} step {t}: lut{l}"
+                    );
+                }
+                before = now;
+            }
+            let report = dev.activity_census(0).unwrap();
+            for (l, row) in report.luts.iter().enumerate() {
+                toggles[l] += row.toggles;
+                high[l] += before[l];
+            }
+        }
+        for (l, row) in census.luts.iter().enumerate() {
+            assert_eq!(row.toggles, toggles[l], "width {width}: lut{l} toggles");
+            let got = high_cycles(row, census.lane_cycles);
+            assert_eq!(got, high[l], "width {width}: lut{l} high cycles");
         }
     }
 }

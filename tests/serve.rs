@@ -145,9 +145,10 @@ fn cache_hit_returns_the_cold_compile_artifact_bit_for_bit() {
             direct.kernel(c).expect("context in range"),
             "context {c} kernel diverged from the cold path"
         );
-        assert!(
-            warm.design.kernel(c).optimized(),
-            "context {c} served plain"
+        assert_eq!(
+            warm.design.kernel(c),
+            &direct.compiled_kernels()[c].optimize(),
+            "context {c} served unoptimized"
         );
         assert_eq!(
             warm.design.initial_registers(c),
