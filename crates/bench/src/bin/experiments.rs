@@ -8,8 +8,9 @@
 //! ```
 //!
 //! `gate` reads `BENCH_baseline.json` and the reports from the current
-//! directory, prints every violation and exits 1 if there is any. An unknown
-//! id prints the list of ids.
+//! directory, prints every violation and exits 1 if there is any. An
+//! experiment that panics is named, the rest still run, and the harness
+//! then exits 1. An unknown id prints the list of ids.
 
 use mcfpga_bench::{delta, flow, gate, paper, probe, serve, serve_obs, shard, sim};
 
@@ -56,10 +57,10 @@ fn main() {
         println!("gate: every BENCH report holds against {}", gate::BASELINE);
         return;
     }
-    let selected: Vec<fn()> = EXPERIMENTS
+    let selected: Vec<(&str, fn())> = EXPERIMENTS
         .iter()
         .filter(|(id, _)| which == "all" || which == *id)
-        .map(|&(_, run)| run)
+        .copied()
         .collect();
     if selected.is_empty() {
         let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
@@ -69,7 +70,21 @@ fn main() {
         );
         std::process::exit(2);
     }
-    for run in selected {
-        run();
+    // A panicking experiment is named and the rest still run, so the gate
+    // afterwards reports the real failure, not the reports it left unwritten.
+    let mut failed = Vec::new();
+    for (id, run) in selected {
+        if std::panic::catch_unwind(run).is_err() {
+            eprintln!("experiment {id} panicked");
+            failed.push(id);
+        }
+    }
+    if !failed.is_empty() {
+        eprintln!(
+            "{} experiment(s) failed: {}",
+            failed.len(),
+            failed.join(" ")
+        );
+        std::process::exit(1);
     }
 }

@@ -380,7 +380,7 @@ impl Report for FlowTrace {
         for (i, e) in self.traceEvents.iter().enumerate() {
             let name = e.get("name").and_then(Value::as_str).unwrap_or_default();
             names.push(name.to_string());
-            if e.get("ph").and_then(Value::as_str) == Some("X") {
+            if e.get("ph").and_then(Value::as_str) == Some("B") {
                 spans.push(name.to_string());
             }
             if name == "context_switch" {
@@ -393,7 +393,7 @@ impl Report for FlowTrace {
             }
         }
         c.at("");
-        c.includes("traceEvents[ph=X]", &spans, &PHASE_SPANS);
+        c.includes("traceEvents[ph=B]", &spans, &PHASE_SPANS);
         c.positive("traceEvents[context_switch]", switches);
         let wanted = ["compile_context", "route_iteration", "anneal_step"];
         c.includes("traceEvents", &names, &wanted);
@@ -407,8 +407,9 @@ pub(crate) mod tests {
     use crate::gate::testing::{baseline, breaks_one, field, load_failures, remove, BASELINE_JSON};
 
     /// The flow part of the committed baseline is itself a passing report,
-    /// once given the wall times it predates (and no histograms, whose
-    /// percentiles it also predates).
+    /// once given the wall times it predates (taken as the busy times), its
+    /// per-span records summed into per-name totals, and no histograms
+    /// (whose percentiles it also predates).
     pub(crate) fn passing() -> (FlowBench, Baseline) {
         let mut doc = serde_json::parse(BASELINE_JSON).unwrap();
         if let Value::Array(phases) = field(&mut doc, "phase_totals_us") {
@@ -419,7 +420,26 @@ pub(crate) mod tests {
                 }
             }
         }
-        *field(field(&mut doc, "report"), "histograms") = Value::Array(Vec::new());
+        let report = field(&mut doc, "report");
+        *field(report, "histograms") = Value::Array(Vec::new());
+        let mut totals: Vec<(String, u64, u64)> = Vec::new();
+        if let Value::Array(records) = field(report, "spans") {
+            for r in records {
+                let name = r.get("name").and_then(Value::as_str).unwrap();
+                let busy = r.get("duration_us").and_then(Value::as_u64).unwrap();
+                match totals.iter_mut().find(|t| t.0 == name) {
+                    Some(t) => (t.1, t.2) = (t.1 + 1, t.2 + busy),
+                    None => totals.push((name.into(), 1, busy)),
+                }
+            }
+        }
+        let entries = totals.iter().map(|(name, count, busy)| {
+            let json = format!(
+                r#"{{"name": "{name}", "count": {count}, "busy_us": {busy}, "wall_us": {busy}}}"#
+            );
+            serde_json::parse(&json).unwrap()
+        });
+        *field(report, "spans") = Value::Array(entries.collect());
         (FlowBench::from_value(&doc).unwrap(), baseline(""))
     }
 
@@ -427,10 +447,10 @@ pub(crate) mod tests {
     pub(crate) fn passing_trace() -> FlowTrace {
         serde_json::from_str(
             r#"{"traceEvents": [
-                {"name": "flow", "ph": "X"}, {"name": "map", "ph": "X"},
-                {"name": "place", "ph": "X"}, {"name": "route", "ph": "X"},
-                {"name": "rcm", "ph": "X"}, {"name": "sim", "ph": "X"},
-                {"name": "area", "ph": "X"}, {"name": "compile_context", "ph": "B"},
+                {"name": "flow", "ph": "B"}, {"name": "map", "ph": "B"},
+                {"name": "place", "ph": "B"}, {"name": "route", "ph": "B"},
+                {"name": "rcm", "ph": "B"}, {"name": "sim", "ph": "B"},
+                {"name": "area", "ph": "B"}, {"name": "compile_context", "ph": "B"},
                 {"name": "route_iteration", "ph": "i"}, {"name": "anneal_step", "ph": "i"},
                 {"name": "context_switch", "ph": "i", "args": {"from": 0, "to": 1,
                     "bits_flipped": 3, "change_rate": 0.5, "n_columns": 6, "n_constant": 1,
@@ -523,7 +543,7 @@ pub(crate) mod tests {
         breaks_one::<FlowTrace>(
             || (passing_trace(), ()),
             &[
-                ("traceEvents[ph=X][route]", |t, _| {
+                ("traceEvents[ph=B][route]", |t, _| {
                     *field(&mut t.traceEvents[3], "ph") = Value::Str("i".into())
                 }),
                 ("traceEvents[context_switch]", |t, _| {

@@ -254,7 +254,7 @@ pub(crate) mod testing {
     //! Passing-report scaffolding shared by every report's tests.
 
     use super::*;
-    use mcfpga::obs::{CounterEntry, GaugeEntry, RunReport, SpanRecord};
+    use mcfpga::obs::{CounterEntry, GaugeEntry, RunReport, SpanEntry};
 
     pub(crate) const BASELINE_JSON: &str = include_str!("../../../BENCH_baseline.json");
 
@@ -276,12 +276,11 @@ pub(crate) mod testing {
             total_us: 1,
             spans: spans
                 .iter()
-                .map(|&name| SpanRecord {
-                    path: name.into(),
+                .map(|&name| SpanEntry {
                     name: name.into(),
-                    start_us: 0,
-                    duration_us: 1,
-                    tid: 1,
+                    count: 1,
+                    busy_us: 1,
+                    wall_us: 1,
                 })
                 .collect(),
             counters: counters

@@ -122,18 +122,20 @@ pub fn run() {
                 let mut sheds = 0u64;
                 let mut rejected = 0u64;
                 for round in 0..rounds {
+                    // Build the whole burst before submitting any of it, so
+                    // the jobs land back to back: a worker serves one faster
+                    // than its stimulus is built.
+                    let jobs: Vec<SimJob> = (0..aggressor_burst)
+                        .map(|b| {
+                            let context = (round + b) % outcome.design.n_contexts();
+                            let n_in = outcome.design.kernel(context).n_inputs();
+                            let words = words_for(100 + b, round, n_in, aggressor_cycles);
+                            SimJob::new(outcome.session, context, words).with_tenant(aggressor)
+                        })
+                        .collect();
                     let mut burst = Vec::new();
-                    for b in 0..aggressor_burst {
-                        let context = (round + b) % outcome.design.n_contexts();
-                        let n_in = outcome.design.kernel(context).n_inputs();
-                        match server.submit_sim(
-                            SimJob::new(
-                                outcome.session,
-                                context,
-                                words_for(100 + b, round, n_in, aggressor_cycles),
-                            )
-                            .with_tenant(aggressor),
-                        ) {
+                    for job in jobs {
+                        match server.submit_sim(job) {
                             Ok(h) => burst.push(h),
                             Err(SubmitError::Shed { .. }) => sheds += 1,
                             Err(_) => rejected += 1,

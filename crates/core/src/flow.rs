@@ -171,21 +171,21 @@ impl FlowBuilder {
     /// context) on `arch`.
     pub fn run(&self, arch: &ArchSpec, circuits: &[Netlist]) -> Result<FlowOutcome, CompileError> {
         let rec = &self.recorder;
-        let flow_span = rec.span("flow");
+        let flow_span = rec.span("flow", &[]);
         let ctx = arch.context_id();
 
         // Map / place / route / columns / logic_blocks spans open inside.
         let mut device = MultiDevice::compile_opts(arch, circuits, &self.options, rec)?;
 
         {
-            let _span = rec.span("rcm");
+            let _span = rec.span("rcm", &[]);
             for &col in device.switch_usage().columns().iter() {
                 synthesize_with(col, ctx, rec);
             }
         }
 
         {
-            let _span = rec.span("sim");
+            let _span = rec.span("sim", &[]);
             for (c, circuit) in circuits.iter().enumerate() {
                 device.switch_context(c);
                 let inputs = vec![false; circuit.inputs().len()];
@@ -199,7 +199,7 @@ impl FlowBuilder {
         let weights = FabricWeights::default();
         let (cmos, fepg);
         {
-            let _span = rec.span("area");
+            let _span = rec.span("area", &[]);
             let columns = device.switch_usage().columns();
             let change = mcfpga_config::ColumnSetStats::measure(&columns, ctx).change_rate;
             cmos = area_comparison(arch, change, Technology::Cmos, &params, &weights);

@@ -107,8 +107,8 @@ pub fn job_ids(events: &[TraceEvent]) -> Vec<u64> {
 /// Rebuild `job`'s span tree from an event snapshot (see
 /// [`crate::Recorder::trace_events`]). `None` when no event carries the id.
 pub fn job_trace(events: &[TraceEvent], job: u64) -> Option<JobTrace> {
-    // Per-thread stacks of open spans; Begin/End pairs nest in LIFO order
-    // on their emitting thread, exactly like the recorder's span stack.
+    // Per-thread stacks of open spans: a span guard's Begin/End pair nests
+    // in LIFO order on its emitting thread.
     let mut stacks: BTreeMap<u64, Vec<JobSpan>> = BTreeMap::new();
     let mut roots: Vec<JobSpan> = Vec::new();
     let mut loose: Vec<TraceEvent> = Vec::new();
@@ -184,12 +184,12 @@ mod tests {
         b.instant("job_submitted", &[]);
         a.instant("job_submitted", &[("kind", "compile".into())]);
         {
-            let _outer = a.begin("compile_job", &[]);
+            let _outer = a.span("compile_job", &[]);
             a.instant("cache_lookup", &[("hit", false.into())]);
             {
-                let _inner = a.begin("compile_context", &[("context", 0usize.into())]);
+                let _inner = a.span("compile_context", &[("context", 0usize.into())]);
             }
-            let _noise = b.begin("sim_job", &[]);
+            let _noise = b.span("sim_job", &[]);
         }
         rec.instant("uncorrelated", &[]);
 
@@ -220,7 +220,7 @@ mod tests {
     fn unmatched_edges_survive_ring_eviction() {
         let rec = Recorder::enabled();
         let c = rec.correlated(1, "t");
-        let g = c.begin("outer", &[]);
+        let g = c.span("outer", &[]);
         c.instant("mid", &[]);
         // Snapshot before the End: the span is open.
         let open = job_trace(&rec.trace_events(), 1).expect("traced");

@@ -1,5 +1,5 @@
-//! Flow-wide observability: phase spans, a metrics registry, and
-//! machine-readable run reports.
+//! Flow-wide observability: spans, a metrics registry, and machine-readable
+//! run reports.
 //!
 //! The central type is [`Recorder`]. A recorder is either *enabled* (it owns a
 //! shared, thread-safe collector) or *disabled* (every call is a no-op), so
@@ -7,38 +7,47 @@
 //! that do not care pay nothing:
 //!
 //! ```
-//! use mcfpga_obs::Recorder;
+//! use mcfpga_obs::{Recorder, TracePhase};
 //!
 //! let rec = Recorder::enabled();
 //! {
-//!     let _flow = rec.span("flow");
-//!     {
-//!         let _route = rec.span("route"); // nested: path is "flow/route"
+//!     let _flow = rec.span("flow", &[]);
+//!     for context in 0..2usize {
+//!         let _route = rec.span("route", &[("context", context.into())]);
 //!         rec.incr("route.iterations", 3);
 //!     }
 //!     rec.observe("rcm.ses_per_column", 2.0);
 //!     rec.set_gauge("anneal.temperature", 0.5);
 //! }
+//! // One totals entry per span name, name-ordered.
 //! let report = rec.report("demo");
-//! assert_eq!(report.spans.len(), 2);
-//! assert_eq!(report.counters[0].value, 3);
+//! let names: Vec<&str> = report.spans.iter().map(|s| s.name.as_str()).collect();
+//! assert_eq!(names, ["flow", "route"]);
+//! assert_eq!(report.span("route").unwrap().count, 2);
+//! assert!(report.span_wall_us("route") <= report.span_wall_us("flow"));
+//! assert_eq!(report.counters[0].value, 6);
+//! // Each span is also a Begin/End pair in the trace ring, nested in the
+//! // order its thread opened and closed them.
+//! let edges: Vec<TracePhase> = rec.trace_events().iter().map(|e| e.phase).collect();
+//! use TracePhase::{Begin, End};
+//! assert_eq!(edges, [Begin, Begin, End, Begin, End, End]);
 //! let json = serde_json::to_string_pretty(&report).unwrap();
-//! assert!(json.contains("flow/route"));
+//! assert!(json.contains("busy_us"));
 //! ```
 //!
-//! Spans nest lexically per thread: the span path is the `/`-joined chain of
-//! enclosing spans opened on the same thread. Counters, gauges, and histograms
-//! are keyed by dotted names (`route.overused_edges`, `place.moves_accepted`)
-//! and may be updated concurrently from any thread holding a clone of the
-//! recorder.
-//!
-//! Alongside the aggregates, an enabled recorder buffers structured
-//! [`TraceEvent`]s — instants via [`Recorder::instant`] and begin/end pairs
-//! via [`Recorder::begin`] — in a bounded ring (see the [`trace`] module
-//! docs), and [`Recorder::chrome_trace_json`] exports spans and events
-//! together in Chrome/Perfetto trace-event format.
+//! [`Recorder::span`] is the one way to time an interval. Opening a span
+//! pushes a `Begin` [`TraceEvent`] into a bounded ring (see the [`trace`]
+//! module docs) and dropping its guard pushes the matching `End`; closing
+//! also adds the span to its name's [`SpanEntry`] totals: count, busy time
+//! and wall time. The totals take constant memory per name and stay exact
+//! forever; the per-interval detail in the ring stays exact until the ring
+//! evicts events ([`Recorder::trace_dropped`]). Nesting is the order of each
+//! thread's edges, which [`job_trace`] and [`Recorder::chrome_trace_json`]
+//! read. Counters, gauges, and histograms are keyed by dotted names
+//! (`route.overused_edges`, `place.moves_accepted`) and may be updated
+//! concurrently from any thread holding a clone of the recorder; instants
+//! come from [`Recorder::instant`].
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -61,20 +70,18 @@ pub use waveform::{WaveSignal, Waveform};
 /// Override with [`Recorder::enabled_with_capacity`].
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
-/// One completed span: where in the hierarchy it sat and when it ran,
-/// as microsecond offsets from the recorder's creation.
+/// Totals of every closed span with one name, in microseconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpanRecord {
-    /// `/`-joined path of enclosing spans, e.g. `"flow/place"`.
-    pub path: String,
-    /// Leaf name, e.g. `"place"`.
+pub struct SpanEntry {
     pub name: String,
-    /// Start offset from recorder creation, in microseconds.
-    pub start_us: u64,
-    /// Wall-clock duration, in microseconds.
-    pub duration_us: u64,
-    /// Sequential id of the thread the span ran on (see [`current_thread_id`]).
-    pub tid: u64,
+    /// Spans closed.
+    pub count: u64,
+    /// Busy time: the sum of their durations. Spans that ran at once on
+    /// different threads each count in full.
+    pub busy_us: u64,
+    /// Wall time: the time during which at least one of them was open, so
+    /// overlapping spans count once and it never exceeds `busy_us`.
+    pub wall_us: u64,
 }
 
 /// A named monotonic counter in a [`RunReport`].
@@ -119,7 +126,8 @@ pub struct RunReport {
     pub name: String,
     /// Microseconds from recorder creation to report time.
     pub total_us: u64,
-    pub spans: Vec<SpanRecord>,
+    /// One entry per span name, name-ordered.
+    pub spans: Vec<SpanEntry>,
     pub counters: Vec<CounterEntry>,
     pub gauges: Vec<GaugeEntry>,
     pub histograms: Vec<HistogramEntry>,
@@ -129,38 +137,23 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Busy time of the spans whose leaf name is `name`: the sum of their
-    /// durations, in microseconds. Spans that ran concurrently on different
-    /// threads each count in full, so this can exceed the wall time.
-    pub fn span_busy_us(&self, name: &str) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.duration_us)
-            .sum()
+    /// Totals of the spans named `name`, if any was opened.
+    pub fn span(&self, name: &str) -> Option<&SpanEntry> {
+        self.spans.iter().find(|s| s.name == name)
     }
 
-    /// Wall time of the spans whose leaf name is `name`: the length of the
-    /// union of their intervals, in microseconds. Time during which several
-    /// of them ran at once counts once, so this never exceeds
-    /// [`RunReport::span_busy_us`].
+    /// Busy time of the spans named `name`: the sum of their durations, in
+    /// microseconds. Spans that ran concurrently on different threads each
+    /// count in full, so this can exceed the wall time.
+    pub fn span_busy_us(&self, name: &str) -> u64 {
+        self.span(name).map_or(0, |s| s.busy_us)
+    }
+
+    /// Wall time of the spans named `name`: the length of the union of their
+    /// intervals, in microseconds. Time during which several of them ran at
+    /// once counts once, so this never exceeds [`RunReport::span_busy_us`].
     pub fn span_wall_us(&self, name: &str) -> u64 {
-        let mut intervals: Vec<(u64, u64)> = self
-            .spans
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| (s.start_us, s.start_us + s.duration_us))
-            .collect();
-        intervals.sort_unstable();
-        let (mut wall, mut covered_to) = (0, 0);
-        for (start, end) in intervals {
-            let start = start.max(covered_to);
-            if end > start {
-                wall += end - start;
-                covered_to = end;
-            }
-        }
-        wall
+        self.span(name).map_or(0, |s| s.wall_us)
     }
 
     /// Value of the counter `name`, or 0 if it was never incremented.
@@ -182,20 +175,55 @@ impl RunReport {
     }
 }
 
+/// Running totals of one span name, fed its edges in timestamp order.
+#[derive(Default)]
+struct SpanTotals {
+    count: u64,
+    busy_us: u64,
+    wall_us: u64,
+    /// Spans of this name open now, and when that number last left 0.
+    open: u64,
+    open_since_us: u64,
+}
+
+impl SpanTotals {
+    fn begin(&mut self, ts_us: u64) {
+        if self.open == 0 {
+            self.open_since_us = ts_us;
+        }
+        self.open += 1;
+    }
+
+    /// A span that began at `start_us` ends at `ts_us`.
+    fn end(&mut self, start_us: u64, ts_us: u64) {
+        self.count += 1;
+        self.busy_us += ts_us - start_us;
+        self.open -= 1;
+        if self.open == 0 {
+            self.wall_us += ts_us - self.open_since_us;
+        }
+    }
+}
+
+/// The event ring and the span totals, behind one lock.
+struct Trace {
+    ring: trace::TraceRing,
+    spans: BTreeMap<String, SpanTotals>,
+}
+
 struct Inner {
     origin: Instant,
-    spans: Mutex<Vec<SpanRecord>>,
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
     // Bounded log-bucketed storage: memory is O(histogram names), not
     // O(samples), so a long-running server cannot grow without bound.
     histograms: Mutex<BTreeMap<String, LogHistogram>>,
-    events: Mutex<trace::TraceRing>,
+    trace: Mutex<Trace>,
 }
 
 /// The value `name` keys in `map`, created at its default first. The key is
 /// looked up by `&str`, so its `String` is allocated only on first insert,
-/// not on every counter, gauge or histogram update.
+/// not on every counter, gauge, histogram or span update.
 fn entry<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
     if !map.contains_key(name) {
         map.insert(name.to_string(), V::default());
@@ -214,11 +242,13 @@ impl Inner {
     fn new(trace_capacity: usize) -> Inner {
         Inner {
             origin: Instant::now(),
-            spans: Mutex::new(Vec::new()),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            events: Mutex::new(trace::TraceRing::new(trace_capacity)),
+            trace: Mutex::new(Trace {
+                ring: trace::TraceRing::new(trace_capacity),
+                spans: BTreeMap::new(),
+            }),
         }
     }
 
@@ -226,17 +256,22 @@ impl Inner {
         self.origin.elapsed().as_micros() as u64
     }
 
+    /// Push one event and return its timestamp. The clock is read under the
+    /// trace lock, so ring order is timestamp order and a span's totals see
+    /// its name's edges in that order; `start_us` is the `Begin` timestamp
+    /// of the span an `End` closes.
     fn push_event(
         &self,
         name: &str,
         phase: TracePhase,
         args: &[(&str, TraceValue)],
         corr: Option<&Correlation>,
-    ) {
-        let event = TraceEvent {
+        start_us: u64,
+    ) -> u64 {
+        let mut event = TraceEvent {
             name: name.to_string(),
             phase,
-            ts_us: self.micros_since_origin(),
+            ts_us: 0,
             tid: current_thread_id(),
             args: args
                 .iter()
@@ -245,13 +280,17 @@ impl Inner {
             job: corr.map(|c| c.job),
             tenant: corr.map(|c| c.tenant.clone()),
         };
-        self.events.lock().unwrap().push(event);
+        let mut trace = self.trace.lock().unwrap();
+        let ts_us = self.micros_since_origin();
+        match phase {
+            TracePhase::Begin => entry(&mut trace.spans, name).begin(ts_us),
+            TracePhase::End => entry(&mut trace.spans, name).end(start_us, ts_us),
+            TracePhase::Instant => {}
+        }
+        event.ts_us = ts_us;
+        trace.ring.push(event);
+        ts_us
     }
-}
-
-thread_local! {
-    // Lexical span nesting per thread; a disabled recorder never touches this.
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Handle to a shared metrics/span collector, or a no-op placeholder.
@@ -285,6 +324,7 @@ impl Recorder {
     /// Like [`Recorder::enabled`], but with an explicit bound on buffered
     /// trace events. Once full, the oldest events are evicted (counted by
     /// [`Recorder::trace_dropped`]); a capacity of 0 keeps no events at all.
+    /// Span totals are kept whatever the capacity.
     pub fn enabled_with_capacity(trace_capacity: usize) -> Recorder {
         Recorder {
             inner: Some(Arc::new(Inner::new(trace_capacity))),
@@ -307,8 +347,9 @@ impl Recorder {
     /// A handle onto the *same* collector whose trace events additionally
     /// carry `(job, tenant)` correlation — the request-scoped view
     /// [`correlate::job_trace`] reconstructs. Aggregates (counters, gauges,
-    /// histograms, spans) are shared and unaffected; only [`TraceEvent`]s
-    /// emitted through this handle (and code it is passed to) are tagged.
+    /// histograms, span totals) are shared and unaffected; only
+    /// [`TraceEvent`]s emitted through this handle (and code it is passed
+    /// to), span edges included, are tagged.
     ///
     /// Correlating a disabled recorder stays a no-op.
     pub fn correlated(&self, job: u64, tenant: &str) -> Recorder {
@@ -323,24 +364,25 @@ impl Recorder {
         }
     }
 
-    /// Open a span. The span closes (and is recorded) when the returned guard
-    /// drops; nesting follows lexical scope on the current thread.
-    pub fn span(&self, name: &str) -> Span {
+    /// Open a span: a `Begin` event carrying `args` is pushed now, and the
+    /// matching `End` when the returned guard drops, which also adds the
+    /// span to `name`'s [`SpanEntry`] totals. Spans nest in the order each
+    /// thread opens and closes them.
+    ///
+    /// As with [`Recorder::instant`], the caller builds `args` even when the
+    /// recorder is disabled; keep them cheap on hot paths.
+    pub fn span(&self, name: &str, args: &[(&str, TraceValue)]) -> Span {
         match &self.inner {
             None => Span { active: None },
             Some(inner) => {
-                let path = SPAN_STACK.with(|stack| {
-                    let mut stack = stack.borrow_mut();
-                    stack.push(name.to_string());
-                    stack.join("/")
-                });
+                let corr = self.corr.as_deref();
+                let start_us = inner.push_event(name, TracePhase::Begin, args, corr, 0);
                 Span {
                     active: Some(ActiveSpan {
                         inner: Arc::clone(inner),
-                        path,
                         name: name.to_string(),
-                        start_us: inner.micros_since_origin(),
-                        start: Instant::now(),
+                        start_us,
+                        corr: self.corr.clone(),
                     }),
                 }
             }
@@ -389,79 +431,45 @@ impl Recorder {
     /// paths, or gate expensive payloads on [`Recorder::is_enabled`].
     pub fn instant(&self, name: &str, args: &[(&str, TraceValue)]) {
         if let Some(inner) = &self.inner {
-            inner.push_event(name, TracePhase::Instant, args, self.corr.as_deref());
-        }
-    }
-
-    /// Open a duration trace event: a `Begin` event is recorded now and the
-    /// matching `End` when the returned guard drops. Unlike [`Recorder::span`]
-    /// this records both edges as they happen, so in-flight work is visible
-    /// and typed args ride on the `Begin` edge.
-    pub fn begin(&self, name: &str, args: &[(&str, TraceValue)]) -> TraceGuard {
-        match &self.inner {
-            None => TraceGuard { active: None },
-            Some(inner) => {
-                inner.push_event(name, TracePhase::Begin, args, self.corr.as_deref());
-                TraceGuard {
-                    // The guard carries the correlation so the End edge is
-                    // tagged like its Begin (job_trace needs both).
-                    active: Some((Arc::clone(inner), name.to_string(), self.corr.clone())),
-                }
-            }
+            inner.push_event(name, TracePhase::Instant, args, self.corr.as_deref(), 0);
         }
     }
 
     /// Snapshot of the buffered trace events, oldest first.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |inner| inner.events.lock().unwrap().snapshot())
+        self.inner.as_ref().map_or_else(Vec::new, |inner| {
+            inner.trace.lock().unwrap().ring.snapshot()
+        })
     }
 
     /// Number of trace events evicted (or refused) by the bounded ring.
     pub fn trace_dropped(&self) -> u64 {
         self.inner
             .as_ref()
-            .map_or(0, |inner| inner.events.lock().unwrap().dropped())
+            .map_or(0, |inner| inner.trace.lock().unwrap().ring.dropped())
     }
 
     /// Bound on buffered trace events (0 for a disabled recorder).
     pub fn trace_capacity(&self) -> usize {
         self.inner
             .as_ref()
-            .map_or(0, |inner| inner.events.lock().unwrap().capacity())
+            .map_or(0, |inner| inner.trace.lock().unwrap().ring.capacity())
     }
 
-    /// Export spans and trace events as Chrome trace-event JSON, viewable in
+    /// Export the trace events as Chrome trace-event JSON, viewable in
     /// `chrome://tracing` or <https://ui.perfetto.dev>.
     ///
-    /// Completed spans become `"X"` (complete) events under category
-    /// `"span"`; trace events become `"B"`/`"E"`/`"i"` events under category
-    /// `"event"` with their args attached. A disabled recorder exports a
-    /// valid document with an empty `traceEvents` array.
+    /// Span edges become `"B"`/`"E"` events and instants `"i"` events, all
+    /// under category `"event"` with their args attached. A disabled
+    /// recorder exports a valid document with an empty `traceEvents` array.
     pub fn chrome_trace_json(&self) -> String {
         let mut out: Vec<Value> = Vec::new();
         let mut dropped = 0u64;
         let capacity = self.trace_capacity();
         if let Some(inner) = &self.inner {
-            for s in inner.spans.lock().unwrap().iter() {
-                out.push(Value::Object(vec![
-                    ("name".to_string(), Value::Str(s.name.clone())),
-                    ("cat".to_string(), Value::Str("span".to_string())),
-                    ("ph".to_string(), Value::Str("X".to_string())),
-                    ("ts".to_string(), Value::U64(s.start_us)),
-                    ("dur".to_string(), Value::U64(s.duration_us)),
-                    ("pid".to_string(), Value::U64(1)),
-                    ("tid".to_string(), Value::U64(s.tid)),
-                    (
-                        "args".to_string(),
-                        Value::Object(vec![("path".to_string(), Value::Str(s.path.clone()))]),
-                    ),
-                ]));
-            }
-            let ring = inner.events.lock().unwrap();
-            dropped = ring.dropped();
-            for e in ring.snapshot() {
+            let trace = inner.trace.lock().unwrap();
+            dropped = trace.ring.dropped();
+            for e in trace.ring.snapshot() {
                 let mut obj = vec![
                     ("name".to_string(), Value::Str(e.name.clone())),
                     ("cat".to_string(), Value::Str("event".to_string())),
@@ -547,7 +555,19 @@ impl Recorder {
                 reconfig: None,
             };
         };
-        let spans = inner.spans.lock().unwrap().clone();
+        let spans = inner
+            .trace
+            .lock()
+            .unwrap()
+            .spans
+            .iter()
+            .map(|(name, t)| SpanEntry {
+                name: name.clone(),
+                count: t.count,
+                busy_us: t.busy_us,
+                wall_us: t.wall_us,
+            })
+            .collect();
         let counters = inner
             .counters
             .lock()
@@ -587,20 +607,6 @@ impl Recorder {
     }
 }
 
-/// RAII guard pairing a `Begin` trace event with its `End`, emitted on drop.
-#[must_use = "the matching End event is emitted when this guard drops; binding it to `_` ends it immediately"]
-pub struct TraceGuard {
-    active: Option<(Arc<Inner>, String, Option<Arc<Correlation>>)>,
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        if let Some((inner, name, corr)) = self.active.take() {
-            inner.push_event(&name, TracePhase::End, &[], corr.as_deref());
-        }
-    }
-}
-
 /// Exact nearest-rank percentile over an already-sorted sample slice.
 ///
 /// This is the reference implementation the bucketed [`LogHistogram`]
@@ -616,32 +622,25 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 struct ActiveSpan {
     inner: Arc<Inner>,
-    path: String,
     name: String,
     start_us: u64,
-    start: Instant,
+    // The End edge is tagged like its Begin (job_trace needs both).
+    corr: Option<Arc<Correlation>>,
 }
 
-/// RAII guard for an open span; records the span when dropped.
-#[must_use = "a span is recorded when this guard drops; binding it to `_` closes it immediately"]
+/// RAII guard for an open span: dropping it pushes the `End` edge and adds
+/// the span to its name's totals.
+#[must_use = "a span closes when this guard drops; binding it to `_` closes it immediately"]
 pub struct Span {
     active: Option<ActiveSpan>,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(active) = self.active.take() {
-            SPAN_STACK.with(|stack| {
-                stack.borrow_mut().pop();
-            });
-            let record = SpanRecord {
-                path: active.path,
-                name: active.name,
-                start_us: active.start_us,
-                duration_us: active.start.elapsed().as_micros() as u64,
-                tid: current_thread_id(),
-            };
-            active.inner.spans.lock().unwrap().push(record);
+        if let Some(s) = self.active.take() {
+            let corr = s.corr.as_deref();
+            s.inner
+                .push_event(&s.name, TracePhase::End, &[], corr, s.start_us);
         }
     }
 }
@@ -649,13 +648,15 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::thread;
 
     #[test]
     fn disabled_recorder_is_noop() {
         let rec = Recorder::disabled();
         {
-            let _s = rec.span("phase");
+            let _s = rec.span("phase", &[]);
             rec.incr("c", 5);
             rec.set_gauge("g", 1.0);
             rec.observe("h", 2.0);
@@ -671,42 +672,118 @@ mod tests {
     fn spans_nest_lexically() {
         let rec = Recorder::enabled();
         {
-            let _outer = rec.span("flow");
+            let _outer = rec.span("flow", &[]);
             {
-                let _inner = rec.span("route");
+                let _inner = rec.span("route", &[]);
             }
-            let _sibling = rec.span("rcm");
+            let _sibling = rec.span("rcm", &[]);
         }
+        // Replaying the thread's edges on a stack recovers each span's
+        // enclosing span.
+        let (mut stack, mut parents) = (Vec::new(), Vec::new());
+        for e in rec.trace_events() {
+            match e.phase {
+                TracePhase::Begin => {
+                    parents.push((e.name.clone(), stack.last().cloned()));
+                    stack.push(e.name);
+                }
+                TracePhase::End => assert_eq!(stack.pop(), Some(e.name)),
+                TracePhase::Instant => {}
+            }
+        }
+        assert!(stack.is_empty());
+        let flow = Some("flow".to_string());
+        let want = [("flow", None), ("route", flow.clone()), ("rcm", flow)];
+        assert_eq!(
+            parents,
+            want.map(|(name, parent)| (name.to_string(), parent))
+        );
         let report = rec.report("nesting");
-        let paths: Vec<&str> = report.spans.iter().map(|s| s.path.as_str()).collect();
-        // Spans are recorded at close time: innermost first.
-        assert_eq!(paths, vec!["flow/route", "flow/rcm", "flow"]);
+        let names: Vec<&str> = report.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["flow", "rcm", "route"]);
+        assert!(report.spans.iter().all(|s| s.count == 1));
         assert!(report.span_busy_us("flow") >= report.span_busy_us("route"));
         assert!(report.span_wall_us("flow") >= report.span_wall_us("route"));
     }
 
+    /// Wall and busy time of `intervals` (start, end) by sorting them and
+    /// merging the union: the reference the constant-memory totals match.
+    fn union_reference(intervals: &[(u64, u64)]) -> (u64, u64) {
+        let mut sorted = intervals.to_vec();
+        sorted.sort_unstable();
+        let (mut wall, mut covered_to) = (0, 0);
+        for (start, end) in sorted {
+            let start = start.max(covered_to);
+            if end > start {
+                wall += end - start;
+                covered_to = end;
+            }
+        }
+        (wall, intervals.iter().map(|(s, e)| e - s).sum())
+    }
+
+    /// Feed `intervals` (start, end, tie-break) through one name's totals,
+    /// edge by edge in timestamp order; edges at equal timestamps go in
+    /// tie-break order, a span's Begin always before its own End.
+    fn totals_of(intervals: &[(u64, u64, u64)]) -> SpanTotals {
+        let mut edges = Vec::new();
+        for &(start, end, tie) in intervals {
+            let (begin_tie, end_tie) = if start == end {
+                (tie.min(!tie), tie.max(!tie))
+            } else {
+                (tie, !tie)
+            };
+            edges.push((start, begin_tie, None));
+            edges.push((end, end_tie, Some(start)));
+        }
+        edges.sort_unstable();
+        let mut totals = SpanTotals::default();
+        for (ts, _, start) in edges {
+            match start {
+                None => totals.begin(ts),
+                Some(start) => totals.end(start, ts),
+            }
+        }
+        assert_eq!(totals.open, 0);
+        totals
+    }
+
     #[test]
     fn wall_time_is_the_union_of_span_intervals() {
-        let span = |start_us, duration_us| SpanRecord {
-            path: "work".into(),
-            name: "work".into(),
-            start_us,
-            duration_us,
-            tid: 0,
-        };
-        let mut report = Recorder::enabled().report("union");
         // [0, 10) and [5, 15) overlap; [15, 20) abuts; [30, 35) stands
         // apart; [31, 33) nests inside it.
-        report.spans = vec![
-            span(30, 5),
-            span(5, 10),
-            span(0, 10),
-            span(15, 5),
-            span(31, 2),
+        let intervals = [
+            (30, 35, 4),
+            (5, 15, 1),
+            (0, 10, 0),
+            (15, 20, 2),
+            (31, 33, 3),
         ];
-        assert_eq!(report.span_wall_us("work"), 25);
-        assert_eq!(report.span_busy_us("work"), 32);
+        let totals = totals_of(&intervals);
+        assert_eq!((totals.wall_us, totals.busy_us), (25, 32));
+        assert_eq!(totals.count, 5);
+        let rec = Recorder::enabled();
+        let report = rec.report("union");
         assert_eq!(report.span_wall_us("absent"), 0);
+        assert_eq!(report.span_busy_us("absent"), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Short intervals on a short axis: overlapping, nested, abutting
+        /// and zero-length ones all turn up, and ties in every order.
+        #[test]
+        fn span_totals_match_the_union_of_intervals(
+            raw in vec((0u64..40, 0u64..12, any::<u64>()), 0..12)
+        ) {
+            let intervals: Vec<(u64, u64, u64)> =
+                raw.iter().map(|&(start, len, tie)| (start, start + len, tie)).collect();
+            let totals = totals_of(&intervals);
+            let plain: Vec<(u64, u64)> = intervals.iter().map(|&(s, e, _)| (s, e)).collect();
+            prop_assert_eq!((totals.wall_us, totals.busy_us), union_reference(&plain));
+            prop_assert_eq!(totals.count, intervals.len() as u64);
+        }
     }
 
     #[test]
@@ -716,15 +793,17 @@ mod tests {
         thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| {
-                    let _work = rec.span("work");
+                    let _work = rec.span("work", &[]);
                     both_open.wait();
                     thread::sleep(std::time::Duration::from_millis(20));
                 });
             }
         });
-        let report = rec.report("concurrent");
-        let tids: std::collections::BTreeSet<u64> = report.spans.iter().map(|s| s.tid).collect();
+        let tids: std::collections::BTreeSet<u64> =
+            rec.trace_events().iter().map(|e| e.tid).collect();
         assert_eq!(tids.len(), 2, "one span per thread");
+        let report = rec.report("concurrent");
+        assert_eq!(report.span("work").map(|s| s.count), Some(2));
         let (wall, busy) = (report.span_wall_us("work"), report.span_busy_us("work"));
         // Both spans were open through the same 20 ms of sleep, so the wall
         // time falls short of the busy time by at least that overlap.
@@ -783,12 +862,16 @@ mod tests {
         rec.incr("jobs", 1);
         crec.instant("job_submitted", &[]);
         {
-            let _g = crec.begin("compile_job", &[]);
+            let _g = crec.span("compile_job", &[]);
         }
         rec.instant("background_tick", &[]);
 
         // Aggregates land in the one shared collector.
         assert_eq!(rec.counter("jobs"), 2);
+        assert_eq!(
+            rec.report("r").span("compile_job").map(|s| s.count),
+            Some(1)
+        );
 
         let events = rec.trace_events();
         assert_eq!(events.len(), 4);
@@ -846,9 +929,9 @@ mod tests {
     fn begin_end_events_pair_and_nest_in_order() {
         let rec = Recorder::enabled();
         {
-            let _outer = rec.begin("compile", &[("context", 0usize.into())]);
+            let _outer = rec.span("compile", &[("context", 0usize.into())]);
             {
-                let _inner = rec.begin("route", &[]);
+                let _inner = rec.span("route", &[]);
                 rec.instant("route_iteration", &[("iteration", 1usize.into())]);
             }
         }
@@ -866,15 +949,25 @@ mod tests {
             ]
         );
         assert_eq!(events[0].arg_u64("context"), Some(0));
-        // Timestamps are monotone within the single emitting thread.
+        // Timestamps are monotone in ring order.
         assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
+        // The totals' endpoints are the edges' timestamps.
+        let report = rec.report("edges");
+        assert_eq!(
+            report.span_busy_us("compile"),
+            events[4].ts_us - events[0].ts_us
+        );
+        assert_eq!(
+            report.span_wall_us("route"),
+            events[3].ts_us - events[1].ts_us
+        );
     }
 
     #[test]
     fn disabled_recorder_emits_no_events() {
         let rec = Recorder::disabled();
         rec.instant("x", &[("k", 1u64.into())]);
-        let _g = rec.begin("y", &[]);
+        let _g = rec.span("y", &[]);
         drop(_g);
         assert!(rec.trace_events().is_empty());
         assert_eq!(rec.trace_dropped(), 0);
@@ -893,6 +986,12 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert_eq!(rec.trace_dropped(), 7);
         assert_eq!(events[0].arg_u64("i"), Some(7));
+        // Span totals outlive the events the ring evicts.
+        for _ in 0..10 {
+            let _s = rec.span("job", &[]);
+        }
+        assert_eq!(rec.trace_dropped(), 27);
+        assert_eq!(rec.report("ring").span("job").map(|s| s.count), Some(10));
     }
 
     #[test]
@@ -918,7 +1017,7 @@ mod tests {
     fn chrome_trace_json_is_valid_and_carries_spans_events_and_args() {
         let rec = Recorder::enabled();
         {
-            let _s = rec.span("flow");
+            let _s = rec.span("flow", &[]);
             rec.instant(
                 "context_switch",
                 &[("from", 0usize.into()), ("change_rate", 0.25.into())],
@@ -926,18 +1025,15 @@ mod tests {
         }
         let doc = serde_json::parse(&rec.chrome_trace_json()).expect("valid JSON");
         let events = doc.get("traceEvents").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(events.len(), 2);
-        let span = events
+        let ph: Vec<&str> = events
             .iter()
-            .find(|e| e.get("ph").and_then(|v| v.as_str()) == Some("X"))
-            .expect("span event");
-        assert_eq!(span.get("name").and_then(|v| v.as_str()), Some("flow"));
-        assert!(span.get("dur").is_some());
-        let inst = events
-            .iter()
-            .find(|e| e.get("ph").and_then(|v| v.as_str()) == Some("i"))
-            .expect("instant event");
-        let args = inst.get("args").expect("args object");
+            .map(|e| e.get("ph").and_then(|v| v.as_str()).unwrap())
+            .collect();
+        assert_eq!(ph, ["B", "i", "E"]);
+        for span_edge in [&events[0], &events[2]] {
+            assert_eq!(span_edge.get("name").and_then(|v| v.as_str()), Some("flow"));
+        }
+        let args = events[1].get("args").expect("args object");
         assert_eq!(args.get("from").and_then(|v| v.as_u64()), Some(0));
         assert_eq!(args.get("change_rate").and_then(|v| v.as_f64()), Some(0.25));
     }
@@ -976,7 +1072,7 @@ mod tests {
     fn report_round_trips_through_json() {
         let rec = Recorder::enabled();
         {
-            let _s = rec.span("phase");
+            let _s = rec.span("phase", &[]);
             rec.incr("n", 3);
             rec.observe("h", 1.0);
         }

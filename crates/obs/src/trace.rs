@@ -1,9 +1,9 @@
-//! Structured trace events: the event-level companion to the aggregate
-//! spans/counters in the crate root.
+//! Structured trace events: the per-interval companion to the span totals
+//! and metrics in the crate root.
 //!
-//! A [`TraceEvent`] is one timestamped occurrence — a begin/end pair
-//! bracketing a duration, or an instant — carrying typed key/value
-//! arguments ([`TraceValue`]) and the id of the thread that emitted it.
+//! A [`TraceEvent`] is one timestamped occurrence — the begin or end edge of
+//! a span, or an instant — carrying typed key/value arguments
+//! ([`TraceValue`]) and the id of the thread that emitted it.
 //! Events land in a bounded ring buffer inside the recorder (oldest events
 //! are evicted first; the eviction count is reported alongside), so
 //! instrumenting a hot loop cannot grow memory without bound.

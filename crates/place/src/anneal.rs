@@ -190,7 +190,7 @@ pub fn place_delta(
 /// per-temperature-step acceptance statistics, and move counters. The result
 /// is identical to [`place`] for the same problem and options.
 pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Recorder) -> Placement {
-    let _span = rec.span("place");
+    let _span = rec.span("place", &[]);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let logic_sites = problem.grid.logic_sites();
     let io_sites = problem.grid.io_sites();

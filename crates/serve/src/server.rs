@@ -705,9 +705,7 @@ fn worker_loop(inner: &ServerInner) {
         };
         let start = Instant::now();
         let result = {
-            let name = job_span_name(kind);
-            let _span = meta.crec.span(name);
-            let _g = meta.crec.begin(name, &[]);
+            let _span = meta.crec.span(job_span_name(kind), &[]);
             match queued.request {
                 Request::Compile(job) => process_compile(inner, job, &meta).map(Outcome::Compile),
                 Request::Sim(job) => process_sim(inner, job, &meta).map(Outcome::Sim),

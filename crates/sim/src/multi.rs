@@ -469,7 +469,7 @@ impl MultiDevice {
         }
         let k = arch.lut.min_inputs;
         let mapped: Vec<MappedNetlist> = {
-            let _span = rec.span("map");
+            let _span = rec.span("map", &[]);
             let workers = opts.resolved_workers(circuits.len());
             // Mapping is per-circuit independent; fan it out and merge
             // results in context order (first in-order error wins, exactly
@@ -599,9 +599,9 @@ impl MultiDevice {
             if expired() {
                 return Err(CompileError::DeadlineExceeded);
             }
-            // Begin/End trace events make the pool's fan-out visible in the
-            // trace viewer, attributed to the claiming worker.
-            let _ev = rec.begin(
+            // The span's Begin/End events make the pool's fan-out visible in
+            // the trace viewer, attributed to the claiming worker.
+            let _span = rec.span(
                 "compile_context",
                 &[("context", c.into()), ("worker", worker.into())],
             );
@@ -689,7 +689,7 @@ impl MultiDevice {
         // in site order, collecting the tables each device context put there
         // (contexts beyond the programmed circuits stay all-zero and
         // collapse into one plane).
-        let lb_span = rec.span("logic_blocks");
+        let lb_span = rec.span("logic_blocks", &[]);
         let outs = arch.lut.outputs;
         let mut site_of: Vec<Vec<(usize, usize)>> = mapped
             .iter()
@@ -744,7 +744,7 @@ impl MultiDevice {
         rec: &Recorder,
     ) -> MultiDevice {
         let usage = {
-            let _span = rec.span("columns");
+            let _span = rec.span("columns", &[]);
             let empty = RoutedContext {
                 nets: vec![],
                 trees: vec![],
@@ -1296,7 +1296,7 @@ impl MultiDevice {
         if matches!(&self.kernels[context], Some((epoch, _)) if *epoch == self.config_epoch) {
             return;
         }
-        let _span = self.recorder.span("sim_kernel_build");
+        let _span = self.recorder.span("sim_kernel_build", &[]);
         let kernel = self.build_kernel(context).optimize();
         self.kernels[context] = Some((self.config_epoch, kernel));
     }

@@ -36,20 +36,31 @@ fn run_instrumented_flow() -> (mcfpga::flow::FlowOutcome, Recorder) {
 
 #[test]
 fn full_flow_produces_spans_for_every_phase() {
-    let (outcome, _rec) = run_instrumented_flow();
+    use mcfpga::obs::TracePhase;
+    let (outcome, rec) = run_instrumented_flow();
     let report = &outcome.report;
     for phase in PHASES {
-        let n = report.spans.iter().filter(|s| s.name == *phase).count();
+        let n = report.span(phase).map_or(0, |s| s.count);
         assert!(n > 0, "no span recorded for phase {phase:?}");
     }
-    // Phase spans nest under the flow span.
+    // Phase spans nest under the flow span: replaying each thread's
+    // Begin/End edges on a stack finds "flow" open around each of them.
+    let mut open: std::collections::HashMap<u64, Vec<String>> = Default::default();
+    let mut parents: std::collections::HashMap<String, Option<String>> = Default::default();
+    for e in rec.trace_events() {
+        let stack = open.entry(e.tid).or_default();
+        match e.phase {
+            TracePhase::Begin => {
+                parents.insert(e.name.clone(), stack.last().cloned());
+                stack.push(e.name);
+            }
+            TracePhase::End => assert_eq!(stack.pop(), Some(e.name)),
+            TracePhase::Instant => {}
+        }
+    }
     for name in ["map", "rcm", "sim", "area"] {
-        let span = report
-            .spans
-            .iter()
-            .find(|s| s.name == name)
-            .expect("span exists");
-        assert_eq!(span.path, format!("flow/{name}"), "span {name} mis-nested");
+        let parent = parents.get(name).expect("span exists");
+        assert_eq!(parent.as_deref(), Some("flow"), "span {name} mis-nested");
     }
     // The flow span dominates each phase it contains in wall time. Busy
     // time may exceed it: per-context phases run concurrently on
@@ -145,19 +156,20 @@ fn flow_trace_exports_valid_chrome_json() {
         assert!((e.arg_u64("worker").expect("worker arg") as usize) < workers);
     }
 
-    // The Chrome export parses as JSON and carries spans ("X"), events, and
-    // the context-switch payloads with every required key.
+    // The Chrome export parses as JSON and carries every event of the ring
+    // (span edges and instants) and the context-switch payloads with every
+    // required key.
     let doc = serde_json::parse(&rec.chrome_trace_json()).expect("valid trace JSON");
     let trace_events = doc
         .get("traceEvents")
         .and_then(|v| v.as_array())
         .expect("traceEvents array");
-    assert!(trace_events.len() >= events.len());
+    assert_eq!(trace_events.len(), events.len());
     let phases: std::collections::BTreeSet<&str> = trace_events
         .iter()
         .filter_map(|e| e.get("ph").and_then(|v| v.as_str()))
         .collect();
-    for ph in ["X", "B", "E", "i"] {
+    for ph in ["B", "E", "i"] {
         assert!(phases.contains(ph), "missing phase {ph} in export");
     }
     let switch = trace_events
@@ -190,7 +202,7 @@ fn concurrent_recorder_clones_get_distinct_thread_ids() {
         .map(|w| {
             let rec = rec.clone();
             std::thread::spawn(move || {
-                let _g = rec.begin("worker", &[("worker", (w as u64).into())]);
+                let _g = rec.span("worker", &[("worker", (w as u64).into())]);
                 rec.instant("tick", &[]);
             })
         })

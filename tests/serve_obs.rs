@@ -340,3 +340,36 @@ fn compile_job_trace_includes_per_context_compile_children() {
     let job_events = events.iter().filter(|e| e.job == Some(job)).count();
     assert_eq!(trace.n_events, job_events);
 }
+
+/// Span totals take constant memory: serving more jobs raises each name's
+/// count, not the number of entries. One worker's job spans never overlap,
+/// so their wall time is their busy time.
+#[test]
+fn span_totals_hold_one_entry_per_name_however_many_jobs_run() {
+    let rec = Recorder::enabled();
+    let server = Server::with_recorder(ServeConfig::default().with_workers(1), &rec);
+    let session = server
+        .submit_compile(CompileJob::new(arch(), cheap_circuits()).with_options(serial()))
+        .expect("accepted")
+        .wait()
+        .expect("compiles")
+        .session;
+    let serve = |jobs: usize| {
+        for _ in 0..jobs {
+            server
+                .submit_sim(SimJob::new(session, 0, vec![vec![3; 5]; 4]))
+                .expect("accepted")
+                .wait()
+                .expect("completes");
+        }
+        rec.report("serve")
+    };
+    let early = serve(100);
+    let late = serve(2_000);
+    assert_eq!(early.spans.len(), late.spans.len());
+    for (report, served) in [(&early, 100), (&late, 2_100)] {
+        let sim = report.span("sim_job").expect("sim jobs are timed");
+        assert_eq!(sim.count, served);
+        assert_eq!(sim.wall_us, sim.busy_us);
+    }
+}
