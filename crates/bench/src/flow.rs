@@ -16,6 +16,7 @@ pub fn run() {
         "{:<12} {:>6} {:>6} {:>8} {:>9} {:>10}",
         "circuit", "LUTs", "LBs", "planes", "ctrl SEs", "verified"
     );
+    let mut quality = Vec::new();
     for circuit in suite() {
         let contexts = vec![circuit.clone(); 4];
         let mut dev = match MultiDevice::compile_aligned(&arch, &contexts) {
@@ -38,6 +39,8 @@ pub fn run() {
             if ok { "ok" } else { "FAIL" }
         );
         assert!(ok, "{} failed equivalence", circuit.name());
+        // The aligned front end places and routes once for all contexts.
+        quality.push(Quality::of(&dev, 0, circuit.name().to_string()));
     }
     println!("\nmixed 4-circuit device (adder/multiplier/ALU/popcount):");
     let circuits = mixed_contexts();
@@ -48,6 +51,10 @@ pub fn run() {
         .run(&arch, &circuits)
         .expect("instrumented flow");
     outcome.device.check_routing().expect("connectivity");
+    for (c, circuit) in circuits.iter().enumerate() {
+        let label = format!("mixed-4-circuits/{}", circuit.name());
+        quality.push(Quality::of(&outcome.device, c, label));
+    }
     let stats =
         ColumnSetStats::measure(&outcome.device.switch_usage().columns(), arch.context_id());
     println!("  switch columns: {}", stats.table_string());
@@ -150,6 +157,24 @@ pub fn run() {
         paper.cmos.ratio, paper.fepg.ratio
     );
 
+    println!("\nplacement and routing quality (placed HPWL, routed wirelength,");
+    println!("worst channel occupancy, critical routed delay, PathFinder iterations):");
+    println!(
+        "  {:<26} {:>5} {:>5} {:>4} {:>6} {:>6}",
+        "context", "HPWL", "wire", "occ", "delay", "iters"
+    );
+    for q in &quality {
+        println!(
+            "  {:<26} {:>5} {:>5} {:>4} {:>6.1} {:>6}",
+            q.label,
+            q.hpwl,
+            q.total_wirelength,
+            q.max_occupancy,
+            q.critical_delay,
+            q.route_iterations
+        );
+    }
+
     let area_points = vec![
         AreaPoint {
             label: "mixed-4-circuits".into(),
@@ -193,6 +218,7 @@ pub fn run() {
         compile_parallel_us,
         parallelism: report.gauge("flow.parallelism").unwrap_or(1.0),
         area_points,
+        quality,
         phase_totals_us: phases
             .iter()
             .map(|p| PhaseTotal {
@@ -253,6 +279,9 @@ pub(crate) struct FlowBench {
     /// structure-preserving 5%-change workload (measured), and the paper's
     /// analytic headline.
     area_points: Vec<AreaPoint>,
+    /// Placement and routing quality: each flow-suite circuit, then each
+    /// context of the mixed device.
+    quality: Vec<Quality>,
     phase_totals_us: Vec<PhaseTotal>,
     report: RunReport,
 }
@@ -264,6 +293,39 @@ struct AreaPoint {
     cmos_ratio: f64,
     fepg_ratio: f64,
     note: String,
+}
+
+/// What placement and routing made of one compiled context. Seeded and
+/// deterministic, so the gate holds every field exactly: a placer or router
+/// change that moves one re-records it on purpose.
+#[derive(Serialize, Deserialize)]
+struct Quality {
+    /// A flow-suite circuit, or `mixed-4-circuits/<circuit>` for a context
+    /// of the mixed device.
+    label: String,
+    /// Placed half-perimeter wirelength (`Placement::cost`).
+    hpwl: u64,
+    /// Routed wirelength, worst per-edge occupancy and critical routed
+    /// delay (`RoutingStats`).
+    total_wirelength: usize,
+    max_occupancy: usize,
+    critical_delay: f64,
+    /// PathFinder iterations to a legal routing.
+    route_iterations: usize,
+}
+
+impl Quality {
+    fn of(dev: &MultiDevice, c: usize, label: String) -> Quality {
+        let stats = dev.routing_stats().swap_remove(c);
+        Quality {
+            label,
+            hpwl: dev.placements()[c].cost,
+            total_wirelength: stats.total_wirelength,
+            max_occupancy: stats.max_occupancy,
+            critical_delay: stats.critical_delay,
+            route_iterations: dev.routed()[c].iterations,
+        }
+    }
 }
 
 #[derive(Serialize, Deserialize)]
@@ -287,6 +349,7 @@ pub(crate) struct Baseline {
     compile_serial_us: u64,
     compile_parallel_us: u64,
     area_points: Vec<AreaPoint>,
+    quality: Vec<Quality>,
     phase_totals_us: Vec<BaselinePhase>,
 }
 
@@ -319,6 +382,18 @@ impl Report for FlowBench {
             c.at(format_args!("area_points[{}].", p.label));
             if let Some(b) = base.area_points.iter().find(|b| b.label == p.label) {
                 check!(c.near(p, b): cmos_ratio fepg_ratio change_rate);
+            }
+        }
+        // The baseline's quality entries, each exactly as recorded.
+        c.at("");
+        let have = labels(&self.quality, |q| q.label.clone());
+        let want = labels(&base.quality, |q| q.label.clone());
+        c.same_set("quality", &have, &want);
+        for q in &self.quality {
+            c.at(format_args!("quality[{}].", q.label));
+            if let Some(b) = base.quality.iter().find(|b| b.label == q.label) {
+                check!(c.eq(q, b): hpwl total_wirelength max_occupancy critical_delay
+                    route_iterations);
             }
         }
         // Busy time fails only on an order-of-magnitude blowup; wall time
@@ -533,6 +608,51 @@ pub(crate) mod tests {
                 }),
                 ("report.reconfig.n_columns", |r, _| {
                     r.report.reconfig.as_mut().unwrap().n_general += 1
+                }),
+            ],
+        );
+    }
+
+    /// The quality entry labelled `label`.
+    fn entry<'a>(r: &'a mut FlowBench, label: &str) -> &'a mut Quality {
+        r.quality
+            .iter_mut()
+            .find(|q| q.label == label)
+            .expect(label)
+    }
+
+    #[test]
+    fn each_changed_quality_number_is_one_violation() {
+        breaks_one(
+            passing,
+            &[
+                ("quality[add4].hpwl", |r, _| entry(r, "add4").hpwl -= 1),
+                ("quality[bshift8].total_wirelength", |r, _| {
+                    entry(r, "bshift8").total_wirelength += 1
+                }),
+                ("quality[mixed-4-circuits/mul3].max_occupancy", |r, _| {
+                    entry(r, "mixed-4-circuits/mul3").max_occupancy += 1
+                }),
+                ("quality[mixed-4-circuits/alu4].critical_delay", |r, _| {
+                    entry(r, "mixed-4-circuits/alu4").critical_delay -= 0.4
+                }),
+                ("quality[alu4].route_iterations", |r, _| {
+                    entry(r, "alu4").route_iterations += 1
+                }),
+                ("quality[crc8]", |r, _| {
+                    r.quality.retain(|q| q.label != "crc8")
+                }),
+                ("quality[extra]", |r, _| {
+                    let (label, hpwl, total_wirelength) = ("extra".into(), 1, 1);
+                    let (max_occupancy, critical_delay, route_iterations) = (1, 1.0, 1);
+                    r.quality.push(Quality {
+                        label,
+                        hpwl,
+                        total_wirelength,
+                        max_occupancy,
+                        critical_delay,
+                        route_iterations,
+                    })
                 }),
             ],
         );

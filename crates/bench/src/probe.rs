@@ -79,10 +79,12 @@ pub fn run() {
     // recorder kind. Both time the same `try_step_batch_into` in interleaved
     // trial pairs, so machine noise hits both sides of a pair alike, and the
     // gate holds the median of the per-pair ratios, which one noisy pair
-    // cannot move. A single 16-pass block is only ~0.5 ms of work.
+    // cannot move. The side that runs first alternates from pair to pair, so
+    // neither always pays for what the other's pass leaves in the caches. A
+    // single 16-pass block is only ~0.5 ms of work.
     let repeats = 16usize;
     let trials = 5usize;
-    let pairs = 15usize;
+    let pairs = 31usize;
     let time_pass = |dev: &mut MultiDevice| -> u64 {
         dev.reset();
         let start = std::time::Instant::now();
@@ -98,8 +100,14 @@ pub fn run() {
         MultiDevice::compile_with(&arch, &circuits, &Recorder::enabled()).expect("compile twin");
     let (mut disabled_us, mut plain_us) = (u64::MAX, u64::MAX);
     let mut ratios: Vec<f64> = (0..pairs)
-        .map(|_| {
-            let (disabled, plain) = (time_pass(&mut dev), time_pass(&mut twin));
+        .map(|i| {
+            let (disabled, plain) = if i % 2 == 0 {
+                let disabled = time_pass(&mut dev);
+                (disabled, time_pass(&mut twin))
+            } else {
+                let plain = time_pass(&mut twin);
+                (time_pass(&mut dev), plain)
+            };
             disabled_us = disabled_us.min(disabled);
             plain_us = plain_us.min(plain);
             plain as f64 / disabled as f64
@@ -336,14 +344,14 @@ pub(crate) struct ProbeBench {
     /// Timed batched passes per trial.
     repeats: usize,
     disabled_us: u64,
-    /// Batched throughput with no probes armed and no census, best of 15
+    /// Batched throughput with no probes armed and no census, best of 31
     /// trials.
     probe_disabled_vectors_per_sec: f64,
     plain_us: u64,
-    /// Batched throughput of a never-probed twin device, best of the 15
+    /// Batched throughput of a never-probed twin device, best of the 31
     /// trials interleaved with the disabled path's.
     plain_batched_vectors_per_sec: f64,
-    /// Median over the 15 trial pairs of disabled over twin throughput,
+    /// Median over the 31 trial pairs of disabled over twin throughput,
     /// gated at the baseline's `disabled_overhead_floor`.
     disabled_to_plain_median: f64,
     /// Armed-path time, best of 5 trials.

@@ -15,7 +15,8 @@ pub struct AnnealOptions {
     /// Moves per temperature step, per block.
     pub moves_per_block: usize,
     /// Stop once the temperature falls to this absolute value. The
-    /// schedule starts at `2 * max(cost/nets, 1)`, twice the mean net HPWL.
+    /// schedule starts at `max(cost/nets, 1) / 4`, a quarter of the start
+    /// placement's mean net HPWL.
     pub t_min_factor: f64,
 }
 
@@ -249,8 +250,10 @@ pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Record
     let mut affected: Vec<usize> = Vec::with_capacity(16);
     let mut after_cost: Vec<u64> = Vec::with_capacity(16);
 
-    // Initial temperature: twice the mean net cost, and at least 2.
-    let mut t = (cost as f64 / problem.nets.len() as f64).max(1.0) * 2.0;
+    // Initial temperature: a quarter of the mean net cost, and at least
+    // 1/4. Hotter starts accept most of their first steps' moves and end no
+    // better placed.
+    let mut t = (cost as f64 / problem.nets.len() as f64).max(1.0) * 0.25;
     let t_min = opts.t_min_factor;
     let moves_per_t = opts.moves_per_block * problem.n_blocks();
 
@@ -344,7 +347,7 @@ mod tests {
     use crate::problem::PlacementProblem;
     use mcfpga_arch::ArchSpec;
     use mcfpga_map::map_netlist;
-    use mcfpga_netlist::library;
+    use mcfpga_netlist::{library, random_netlist, RandomNetlistParams};
 
     fn placed(circuit: mcfpga_netlist::Netlist, seed: u64) -> (PlacementProblem, Placement) {
         let arch = ArchSpec::paper_default();
@@ -438,6 +441,41 @@ mod tests {
         }
         let opts = AnnealOptions::default();
         assert_eq!(place(&doubled, &opts), place(&problem, &opts));
+    }
+
+    #[test]
+    fn the_first_temperature_step_accepts_under_half_its_moves() {
+        // The served compile's context shape, placed with each context's
+        // seed: the schedule starts cool enough that the first step rejects
+        // most moves (a start at twice the mean net HPWL accepted 70-90%).
+        let arch = ArchSpec::paper_default();
+        let params = RandomNetlistParams {
+            n_inputs: 8,
+            n_gates: 60,
+            n_outputs: 8,
+            dff_fraction: 0.10,
+        };
+        for seed in 0..32 {
+            let netlist = random_netlist(params, seed);
+            let mapped = map_netlist(&netlist, arch.lut.min_inputs).unwrap();
+            let problem = PlacementProblem::from_mapped(&mapped, &arch).unwrap();
+            for c in 0..4 {
+                let rec = Recorder::enabled();
+                let opts = AnnealOptions {
+                    seed: 0xC0FFEE ^ c,
+                    ..Default::default()
+                };
+                place_with(&problem, &opts, &rec);
+                let events = rec.trace_events();
+                let first = events.iter().find(|e| e.name == "anneal_step").unwrap();
+                let rate = first.args.iter().find(|(k, _)| k == "acceptance_rate");
+                let rate = rate.and_then(|(_, v)| v.as_f64()).unwrap();
+                assert!(
+                    rate < 0.5,
+                    "netlist {seed}, context {c}: first step accepted {rate}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1503,6 +1503,16 @@ impl MultiDevice {
         })
     }
 
+    /// Each programmed context's placement, in context order.
+    pub fn placements(&self) -> &[Placement] {
+        &self.placements
+    }
+
+    /// Each programmed context's routing, in context order.
+    pub fn routed(&self) -> &[RoutedContext] {
+        &self.routed
+    }
+
     /// Routing statistics per programmed context.
     pub fn routing_stats(&self) -> Vec<mcfpga_route::RoutingStats> {
         self.routed
