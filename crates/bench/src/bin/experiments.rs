@@ -8,9 +8,10 @@
 //! ```
 //!
 //! `gate` reads `BENCH_baseline.json` and the reports from the current
-//! directory, prints every violation and exits 1 if there is any. An
-//! experiment that panics is named, the rest still run, and the harness
-//! then exits 1. An unknown id prints the list of ids.
+//! directory, prints every violation and exits 1 if there is any. `all`
+//! first removes every report the gate reads, so none survives from an
+//! earlier run. An experiment that panics is named, the rest still run,
+//! and the harness then exits 1. An unknown id prints the list of ids.
 
 use mcfpga_bench::{delta, flow, gate, paper, probe, serve, serve_obs, shard, sim};
 
@@ -69,6 +70,15 @@ fn main() {
             ids.join(" ")
         );
         std::process::exit(2);
+    }
+    // `all` removes every gated report first, so one that a panicking
+    // experiment leaves unwritten is missing and the gate names it, instead
+    // of passing on an earlier run's file. A report that cannot be removed
+    // cannot be rewritten either: its experiment's write fails and names it.
+    if which == "all" {
+        for file in gate::REPORTS {
+            let _ = std::fs::remove_file(file);
+        }
     }
     // A panicking experiment is named and the rest still run, so the gate
     // afterwards reports the real failure, not the reports it left unwritten.

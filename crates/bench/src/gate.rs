@@ -66,6 +66,18 @@ pub(crate) fn write<R: Report>(report: &R) {
     println!("\nwrote {} ({} bytes)", R::FILE, json.len());
 }
 
+/// Every report file [`gate`] reads, in the order it checks them.
+pub const REPORTS: [&str; 8] = [
+    flow::FlowBench::FILE,
+    flow::FlowTrace::FILE,
+    sim::SimBench::FILE,
+    serve::ServeBench::FILE,
+    serve_obs::ServeObsBench::FILE,
+    delta::DeltaBench::FILE,
+    probe::ProbeBench::FILE,
+    shard::ShardBench::FILE,
+];
+
 /// Checks every report in `dir` against `dir/BENCH_baseline.json` and
 /// returns every violation found; empty means the gate passes.
 pub fn gate(dir: &Path) -> Vec<Violation> {
@@ -429,6 +441,15 @@ mod tests {
         let found = gate(&dir);
         assert_eq!(found.len(), 8, "{found:#?}");
         assert!(found.iter().all(|v| v.key == "(file)"), "{found:#?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reports_names_every_file_the_gate_reads() {
+        let dir = scratch("listed");
+        std::fs::write(dir.join(BASELINE), BASELINE_JSON).unwrap();
+        let missing: Vec<_> = gate(&dir).iter().map(|v| v.file).collect();
+        assert_eq!(missing, REPORTS);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

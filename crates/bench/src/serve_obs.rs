@@ -24,11 +24,17 @@ pub fn run() {
     let workers = 2usize;
     let queue_capacity = 32usize;
     let queue_watermark = 24usize;
-    let tenant_inflight_cap = 4u64;
+    // A closed-loop victim submits with none of its jobs in flight (the
+    // ledger finishes a job before its handle resolves), so a cap of one
+    // never sheds it, while the aggressor's back-to-back burst is over the
+    // cap whenever a job arrives with an earlier one still queued or being
+    // served. An aggressor job runs long enough to outlast several of
+    // those submissions.
+    let tenant_inflight_cap = 1u64;
     let rounds = 12usize;
     let aggressor_burst = 8usize;
     let victim_cycles = 64usize;
-    let aggressor_cycles = 256usize;
+    let aggressor_cycles = 2048usize;
     let victims = ["tenant-a", "tenant-b", "tenant-c"];
     let aggressor = "aggressor";
 
@@ -82,10 +88,9 @@ pub fn run() {
             .collect()
     };
 
-    // Victims submit one job at a time and wait for it (closed loop,
-    // in-flight ≤ 1); the aggressor fires open-loop bursts above its cap
-    // and only then drains. One victim job id is kept for the correlation
-    // proof below.
+    // Victims submit one job at a time and wait for it (closed loop); the
+    // aggressor fires open-loop bursts above its cap and only then drains.
+    // One victim job id is kept for the correlation proof below.
     let mut traced_job = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::new();

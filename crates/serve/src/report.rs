@@ -29,7 +29,7 @@ pub struct ServeReport {
     /// `jobs_failed` (and the tenant's `failed` bucket) — this counter is a
     /// breakdown, not a new conservation bucket.
     pub jobs_expired_in_service: u64,
-    /// Submissions refused with `QueueFull` backpressure.
+    /// Submissions refused with `QueueFull` backpressure or `Shutdown`.
     pub jobs_rejected: u64,
     /// Submissions refused by the admission policy (`serve.shed.total`).
     pub jobs_shed: u64,
@@ -69,15 +69,6 @@ pub struct ServeReport {
     /// Trace events evicted from the recorder's ring — nonzero means the
     /// trace (and anything reconstructed from it) is truncated.
     pub trace_dropped: u64,
-    /// Context switches executed by compiled fabrics during the run
-    /// (`sim.context_switches` — sim jobs share the server's recorder).
-    pub context_switches: u64,
-    /// Configuration bits flipped across those switches
-    /// (`sim.switch.bits_flipped`; accounted on traced devices).
-    pub reconfig_bits_flipped: u64,
-    /// Cumulative context-switch energy under the per-bit proxy model
-    /// ([`mcfpga_sim::SWITCH_ENERGY_PJ_PER_BIT`] — proxy pJ, not silicon).
-    pub reconfig_energy_pj: f64,
     /// Queue-wait latency distribution (`serve.wait_us`), if any job ran.
     pub wait_us: Option<HistogramEntry>,
     /// Service latency distribution (`serve.service_us`), if any job ran.
@@ -114,42 +105,10 @@ impl ServeReport {
             restores: report.counter("serve.restores"),
             restore_recompiles: report.counter("serve.restore.recompiles"),
             queue_depth_hwm: report.gauge("serve.queue_depth_hwm").unwrap_or(0.0) as u64,
-            context_switches: report.counter("sim.context_switches"),
-            reconfig_bits_flipped: report.counter("sim.switch.bits_flipped"),
-            reconfig_energy_pj: mcfpga_sim::switch_energy_pj(
-                report.counter("sim.switch.bits_flipped"),
-            ),
             trace_dropped: rec.trace_dropped(),
             wait_us: report.histogram("serve.wait_us").cloned(),
             service_us: report.histogram("serve.service_us").cloned(),
             tenants: Vec::new(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reconfig_energy_flows_from_sim_counters() {
-        let rec = Recorder::enabled();
-        rec.incr("sim.context_switches", 3);
-        rec.incr("sim.switch.bits_flipped", 250);
-        let report = ServeReport::from_recorder(&rec);
-        assert_eq!(report.context_switches, 3);
-        assert_eq!(report.reconfig_bits_flipped, 250);
-        assert!(
-            (report.reconfig_energy_pj - mcfpga_sim::switch_energy_pj(250)).abs() < 1e-12,
-            "energy must follow the documented per-bit proxy constant"
-        );
-    }
-
-    #[test]
-    fn untraced_runs_report_zero_energy() {
-        let report = ServeReport::from_recorder(&Recorder::disabled());
-        assert_eq!(report.context_switches, 0);
-        assert_eq!(report.reconfig_bits_flipped, 0);
-        assert_eq!(report.reconfig_energy_pj, 0.0);
     }
 }

@@ -153,6 +153,9 @@ struct ServerInner {
     depth: AtomicUsize,
     depth_hwm: AtomicUsize,
     busy_workers: AtomicUsize,
+    // QueueFull and Shutdown refusals (not malformed ones), kept whether
+    // or not the recorder is enabled.
+    rejected: AtomicU64,
     n_workers: usize,
     tenants: TenantTable,
     wait_window: RollingLatency,
@@ -271,6 +274,7 @@ impl Server {
             depth: AtomicUsize::new(0),
             depth_hwm: AtomicUsize::new(0),
             busy_workers: AtomicUsize::new(0),
+            rejected: AtomicU64::new(0),
             n_workers,
             tenants: TenantTable::default(),
             wait_window: RollingLatency::default(),
@@ -307,6 +311,7 @@ impl Server {
         let crec = inner.rec.correlated(job.raw(), &tenant);
         inner.tenants.on_submitted(&tenant);
         if inner.shutdown.load(Ordering::SeqCst) {
+            inner.rejected.fetch_add(1, Ordering::Relaxed);
             inner.rec.incr("serve.jobs_rejected", 1);
             inner.tenants.on_rejected(&tenant);
             return Err(SubmitError::Shutdown);
@@ -329,6 +334,7 @@ impl Server {
         let mut queue = inner.queue.lock().unwrap();
         if queue.len() >= inner.config.queue_capacity {
             drop(queue);
+            inner.rejected.fetch_add(1, Ordering::Relaxed);
             inner.rec.incr("serve.jobs_rejected", 1);
             inner.tenants.on_rejected(&tenant);
             crec.instant(
@@ -599,8 +605,8 @@ impl Server {
             cached_designs: inner.cache.lock().unwrap().len(),
             rolling_wait_p99_us: inner.wait_window.p99_fresh(),
             rolling_service_p99_us: inner.service_window.p99_fresh(),
-            jobs_shed: inner.rec.counter("serve.shed.total"),
-            jobs_rejected: inner.rec.counter("serve.jobs_rejected"),
+            jobs_shed: inner.tenants.shed_total(),
+            jobs_rejected: inner.rejected.load(Ordering::Relaxed),
             trace_dropped: inner.rec.trace_dropped(),
             tenant_inflight,
         }

@@ -49,9 +49,11 @@ pub struct HealthSnapshot {
     pub rolling_wait_p99_us: f64,
     /// Rolling-window p99 of service time, microseconds.
     pub rolling_service_p99_us: f64,
-    /// Lifetime admission-policy sheds.
+    /// Lifetime admission-policy sheds, summed over the tenant ledgers.
     pub jobs_shed: u64,
-    /// Lifetime hard-backpressure rejections.
+    /// Lifetime `QueueFull` and `Shutdown` refusals. Malformed submissions
+    /// are not counted here, though the tenant ledger files them under
+    /// `rejected` too.
     pub jobs_rejected: u64,
     /// Trace events evicted from the ring so far.
     pub trace_dropped: u64,

@@ -226,6 +226,12 @@ impl TenantTable {
             .collect()
     }
 
+    /// Admission-policy sheds summed over every tenant.
+    pub fn shed_total(&self) -> u64 {
+        let accounts = self.accounts.lock().unwrap();
+        accounts.values().map(|a| a.stats.shed).sum()
+    }
+
     /// Condense every tenant into report rows, label-ordered.
     pub fn reports(&self) -> Vec<TenantReport> {
         let accounts = self.accounts.lock().unwrap();

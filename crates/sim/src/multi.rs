@@ -457,56 +457,28 @@ impl MultiDevice {
     }
 
     /// As [`MultiDevice::compile_with`], with explicit pipeline knobs
-    /// ([`CompileOptions::parallel`] and the shared [`RouteOptions`]).
+    /// ([`CompileOptions::parallel`] and the shared [`RouteOptions`]). This
+    /// is [`MultiDevice::compile_delta`] with every seed [`DeltaSeed::Cold`]
+    /// and no cancellation hook, so a direct compile and a served one run
+    /// the same code.
     pub fn compile_opts(
         arch: &ArchSpec,
         circuits: &[Netlist],
         opts: &CompileOptions,
         rec: &Recorder,
     ) -> Result<MultiDevice, CompileError> {
-        if circuits.is_empty() {
-            return Err(CompileError::EmptyWorkload);
-        }
-        let k = arch.lut.min_inputs;
-        let mapped: Vec<MappedNetlist> = {
-            let _span = rec.span("map", &[]);
-            let workers = opts.resolved_workers(circuits.len());
-            // Mapping is per-circuit independent; fan it out and merge
-            // results in context order (first in-order error wins, exactly
-            // as the serial collect would report).
-            fan_out(circuits.len(), workers, |_, c| map_netlist(&circuits[c], k))
-                .into_iter()
-                .collect::<Result<_, _>>()?
-        };
-        Self::compile_mapped_opts(arch, &mapped, opts, rec)
+        let seeds = vec![DeltaSeed::Cold; circuits.len()];
+        let (device, _) = Self::compile_delta(arch, circuits, opts, rec, &seeds, None)?;
+        Ok(device)
     }
 
     /// Compile pre-mapped netlists, one per context (used directly by the
     /// temporal-execution flow, whose stages are built at the mapped level).
+    /// Each context runs the per-context unit of [`MultiDevice::compile_opts`]
+    /// with its mapping step taking the given netlist as is.
     pub fn compile_mapped(
         arch: &ArchSpec,
         circuits: &[MappedNetlist],
-    ) -> Result<MultiDevice, CompileError> {
-        Self::compile_mapped_with(arch, circuits, &Recorder::disabled())
-    }
-
-    /// As [`MultiDevice::compile_mapped`], with observability.
-    pub fn compile_mapped_with(
-        arch: &ArchSpec,
-        circuits: &[MappedNetlist],
-        rec: &Recorder,
-    ) -> Result<MultiDevice, CompileError> {
-        Self::compile_mapped_opts(arch, circuits, &CompileOptions::default(), rec)
-    }
-
-    /// As [`MultiDevice::compile_mapped_with`], with explicit pipeline knobs:
-    /// the [`MultiDevice::compile_delta`] pipeline with every seed
-    /// [`DeltaSeed::Cold`] and no cancellation hook.
-    pub fn compile_mapped_opts(
-        arch: &ArchSpec,
-        circuits: &[MappedNetlist],
-        opts: &CompileOptions,
-        rec: &Recorder,
     ) -> Result<MultiDevice, CompileError> {
         for m in circuits {
             assert_eq!(
@@ -516,14 +488,17 @@ impl MultiDevice {
         }
         let seeds = vec![DeltaSeed::Cold; circuits.len()];
         let pre_mapped = |c: usize| Ok(circuits[c].clone());
+        let opts = CompileOptions::default();
+        let rec = Recorder::disabled();
         let (device, _) =
-            Self::compile_contexts(arch, circuits.len(), &pre_mapped, opts, rec, &seeds, None)?;
+            Self::compile_contexts(arch, circuits.len(), &pre_mapped, &opts, &rec, &seeds, None)?;
         Ok(device)
     }
 
     /// Compile with per-context artifact reuse from a prior compile of a
     /// near-identical workload — the delta path behind `mcfpga-serve`'s
-    /// near-match design cache.
+    /// near-match design cache, and with every seed [`DeltaSeed::Cold`] the
+    /// cold path itself ([`MultiDevice::compile_opts`] is exactly that call).
     ///
     /// `seeds` carries one [`DeltaSeed`] per circuit. Each per-context
     /// pipeline stage (map → place → route) is a deterministic pure function
@@ -532,16 +507,15 @@ impl MultiDevice {
     /// wholesale for [`DeltaSeed::Unchanged`] slots, and per-stage behind
     /// the equality gates of [`mcfpga_place::place_delta`] and
     /// [`mcfpga_route::route_context_delta`] for [`DeltaSeed::Changed`]
-    /// slots. The resulting device is bit-for-bit identical to
-    /// [`MultiDevice::compile_opts`] on the same inputs — never merely
-    /// equivalent — which is what lets cached designs be shared between the
-    /// cold and delta paths.
+    /// slots. A reused artifact equals what its stage would have recomputed,
+    /// so the device is bit-for-bit identical to a cold compile of the same
+    /// inputs, which is what lets cached designs be shared between the cold
+    /// and delta paths.
     ///
     /// `cancel` is polled between per-context compile phases (and once more
     /// before device assembly); when it reports `true` the compile stops
     /// with [`CompileError::DeadlineExceeded`] instead of burning a worker
-    /// on a result nobody is waiting for. With `seeds` all
-    /// [`DeltaSeed::Cold`] this is exactly a cancellable cold compile.
+    /// on a result nobody is waiting for.
     pub fn compile_delta(
         arch: &ArchSpec,
         circuits: &[Netlist],
@@ -620,7 +594,10 @@ impl MultiDevice {
                 DeltaSeed::Changed(a) => Some(a),
                 _ => None,
             };
-            let mapped = map(c)?;
+            let mapped = {
+                let _span = rec.span("map", &[]);
+                map(c)?
+            };
             let problem = PlacementProblem::from_mapped(&mapped, arch)?;
             let anneal = AnnealOptions {
                 seed: 0xC0FFEE ^ c as u64,

@@ -43,14 +43,23 @@ fn full_flow_produces_spans_for_every_phase() {
         let n = report.span(phase).map_or(0, |s| s.count);
         assert!(n > 0, "no span recorded for phase {phase:?}");
     }
-    // Phase spans nest under the flow span: replaying each thread's
-    // Begin/End edges on a stack finds "flow" open around each of them.
+    // Phase spans nest under the flow span, and every per-context phase
+    // under its context's compile unit: replaying each thread's Begin/End
+    // edges on a stack finds the parent open around each of them.
     let mut open: std::collections::HashMap<u64, Vec<String>> = Default::default();
     let mut parents: std::collections::HashMap<String, Option<String>> = Default::default();
     for e in rec.trace_events() {
         let stack = open.entry(e.tid).or_default();
         match e.phase {
             TracePhase::Begin => {
+                if ["map", "place", "route"].contains(&e.name.as_str()) {
+                    assert_eq!(
+                        stack.last().map(String::as_str),
+                        Some("compile_context"),
+                        "span {} outside a compile_context",
+                        e.name
+                    );
+                }
                 parents.insert(e.name.clone(), stack.last().cloned());
                 stack.push(e.name);
             }
@@ -58,7 +67,7 @@ fn full_flow_produces_spans_for_every_phase() {
             TracePhase::Instant => {}
         }
     }
-    for name in ["map", "rcm", "sim", "area"] {
+    for name in ["rcm", "sim", "area"] {
         let parent = parents.get(name).expect("span exists");
         assert_eq!(parent.as_deref(), Some("flow"), "span {name} mis-nested");
     }

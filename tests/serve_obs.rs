@@ -8,10 +8,10 @@ use std::time::Duration;
 
 use mcfpga_arch::ArchSpec;
 use mcfpga_netlist::{library, Netlist};
-use mcfpga_obs::{job_trace, Recorder};
+use mcfpga_obs::{job_trace, JobSpan, Recorder, TracePhase};
 use mcfpga_serve::{
-    CompileJob, ServeConfig, ServeError, Server, SessionId, ShedReason, SimJob, SubmitError,
-    WatermarkAdmission, DEFAULT_TENANT,
+    CompileJob, RestoreJob, ServeConfig, ServeError, Server, SessionId, ShedReason, SimJob,
+    SubmitError, WatermarkAdmission, DEFAULT_TENANT, SNAPSHOT_VERSION,
 };
 use mcfpga_sim::CompileOptions;
 
@@ -372,4 +372,114 @@ fn span_totals_hold_one_entry_per_name_however_many_jobs_run() {
         assert_eq!(sim.count, served);
         assert_eq!(sim.wall_us, sim.busy_us);
     }
+}
+
+/// A served compile runs the same per-context unit as a direct one: each
+/// compiled context leaves one `map`, one `place` and one `route` span,
+/// directly inside that context's `compile_context` span and correlated
+/// with the job that caused it, on whichever pool thread ran it.
+#[test]
+fn served_compile_traces_one_map_place_route_unit_per_context() {
+    let rec = Recorder::enabled();
+    let server = Server::with_recorder(ServeConfig::default().with_workers(1), &rec);
+    let circuits = vec![
+        library::adder(2),
+        library::parity(3),
+        library::comparator(2),
+    ];
+    let handle = server
+        .submit_compile(CompileJob::new(arch(), circuits.clone()))
+        .expect("accepted");
+    let job = handle.job().raw();
+    handle.wait().expect("compiles");
+
+    let events = rec.trace_events();
+    let trace = job_trace(&events, job).expect("job left correlated events");
+    fn units<'a>(s: &'a JobSpan, out: &mut Vec<&'a JobSpan>) {
+        if s.name == "compile_context" {
+            out.push(s);
+        }
+        for c in &s.children {
+            units(c, out);
+        }
+    }
+    let mut found = Vec::new();
+    for root in &trace.roots {
+        units(root, &mut found);
+    }
+    let mut contexts: Vec<u64> = found
+        .iter()
+        .map(|unit| {
+            let (_, context) = unit
+                .args
+                .iter()
+                .find(|(k, _)| k == "context")
+                .expect("compile_context names its context");
+            let children: Vec<&str> = unit.children.iter().map(|c| c.name.as_str()).collect();
+            assert_eq!(children, ["map", "place", "route"], "context {context:?}");
+            context.as_u64().expect("integral context")
+        })
+        .collect();
+    contexts.sort_unstable();
+    assert_eq!(contexts, [0, 1, 2], "one unit per compiled context");
+    // No per-context phase ran outside those units.
+    for phase in ["map", "place", "route"] {
+        let jobs: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == phase && e.phase == TracePhase::Begin)
+            .map(|e| e.job)
+            .collect();
+        assert_eq!(jobs, vec![Some(job); circuits.len()], "{phase}");
+    }
+}
+
+/// The health snapshot's refusal counts come from state the server keeps
+/// whether or not it records: `jobs_shed` sums the tenant ledgers' sheds,
+/// and `jobs_rejected` counts QueueFull and Shutdown refusals but not
+/// malformed submissions (which the ledger also files under `rejected`).
+#[test]
+fn snapshot_counts_refusals_without_a_recorder() {
+    let shedding = Server::new(
+        ServeConfig::default()
+            .with_workers(1)
+            .with_admission(Arc::new(
+                WatermarkAdmission::default().with_tenant_inflight_cap(0),
+            )),
+    );
+    let shed = shedding.submit_compile(CompileJob::new(arch(), cheap_circuits()));
+    assert!(matches!(shed, Err(SubmitError::Shed { .. })), "{shed:?}");
+    let snap = shedding.snapshot();
+    assert_eq!(shedding.tenant_stats(DEFAULT_TENANT).unwrap().shed, 1);
+    assert_eq!((snap.jobs_shed, snap.jobs_rejected), (1, 0));
+
+    // A snapshot from an admitting server, made malformed by its version.
+    let open = Server::new(ServeConfig::default().with_workers(1));
+    let session = open
+        .submit_compile(CompileJob::new(arch(), cheap_circuits()).with_options(serial()))
+        .expect("accepted")
+        .wait()
+        .expect("compiles")
+        .session;
+    let mut future = open.checkpoint_session(session).expect("checkpoint");
+    future.version = SNAPSHOT_VERSION + 1;
+
+    // Capacity 0: every well-formed submission is refused with QueueFull.
+    let full = Server::new(
+        ServeConfig::default()
+            .with_workers(1)
+            .with_queue_capacity(0),
+    );
+    let malformed = full.submit(RestoreJob::new(future));
+    assert!(
+        matches!(malformed, Err(SubmitError::Malformed { .. })),
+        "{malformed:?}"
+    );
+    let refused = full.submit_compile(CompileJob::new(arch(), cheap_circuits()));
+    assert!(
+        matches!(refused, Err(SubmitError::QueueFull { capacity: 0 })),
+        "{refused:?}"
+    );
+    let snap = full.snapshot();
+    assert_eq!(full.tenant_stats(DEFAULT_TENANT).unwrap().rejected, 2);
+    assert_eq!((snap.jobs_shed, snap.jobs_rejected), (0, 1));
 }
