@@ -13,8 +13,7 @@ use serde::{Deserialize, Serialize};
 /// victims (`BENCH_serve_obs.json`).
 pub fn run() {
     use mcfpga::obs::job_trace;
-    use mcfpga_serve::{CompileJob, ServeConfig, Server, SimJob, SubmitError, WatermarkAdmission};
-    use std::sync::Arc;
+    use mcfpga_serve::{CompileJob, ServeConfig, Server, SimJob, SubmitError};
 
     header("serve_obs: per-tenant accounting, correlation, admission control");
     let arch = ArchSpec::paper_default();
@@ -45,11 +44,8 @@ pub fn run() {
         ServeConfig::default()
             .with_workers(workers)
             .with_queue_capacity(queue_capacity)
-            .with_admission(Arc::new(
-                WatermarkAdmission::default()
-                    .with_queue_watermark(queue_watermark)
-                    .with_tenant_inflight_cap(tenant_inflight_cap),
-            )),
+            .with_queue_watermark(queue_watermark)
+            .with_tenant_inflight_cap(tenant_inflight_cap),
         &rec,
     );
 
@@ -275,16 +271,10 @@ pub fn run() {
         victim_cycles,
         aggressor_cycles,
         tenants: tenant_rows,
-        shed_total: report.jobs_shed,
-        shed_queue_watermark: report.shed_queue_watermark,
-        shed_tenant_inflight: report.shed_tenant_inflight,
-        shed_policy: report.shed_policy,
         unattributed_sheds,
         all_conserved,
         aggressor_isolation_ratio,
-        queue_depth_hwm: report.queue_depth_hwm,
         trace_events: events.len(),
-        trace_dropped: report.trace_dropped,
         correlation,
         snapshot,
         serve_report: report,
@@ -338,10 +328,6 @@ pub(crate) struct ServeObsBench {
     victim_cycles: usize,
     aggressor_cycles: usize,
     tenants: Vec<ServeObsTenant>,
-    shed_total: u64,
-    shed_queue_watermark: u64,
-    shed_tenant_inflight: u64,
-    shed_policy: u64,
     /// Sheds not reconstructable from the trace ring with job + tenant
     /// attribution (gated at 0).
     unattributed_sheds: u64,
@@ -350,11 +336,12 @@ pub(crate) struct ServeObsBench {
     /// Victim jobs completed / victim jobs submitted (gated ≥ 0.9): the
     /// aggressor's overload must not starve well-behaved tenants.
     aggressor_isolation_ratio: f64,
-    queue_depth_hwm: u64,
     trace_events: usize,
-    trace_dropped: u64,
     correlation: ServeObsCorrelation,
     snapshot: mcfpga_serve::HealthSnapshot,
+    /// The drained server's report: the shed census (`jobs_shed` and its
+    /// per-reason split), `queue_depth_hwm` and `trace_dropped` are read
+    /// from here.
     serve_report: mcfpga_serve::ServeReport,
 }
 
@@ -374,18 +361,14 @@ impl Report for ServeObsBench {
         // The aggressor may not starve the victims, and the run must
         // overload: one with no sheds proves nothing about admission.
         check!(c.ge(self.aggressor_isolation_ratio, base.isolation_floor));
-        check!(c.ge(self.shed_total, base.min_shed.max(1)));
+        check!(c.ge(self.serve_report.jobs_shed, base.min_shed.max(1)));
         // Every shed is typed and attributed, the ring kept every event, and
         // every tenant ledger conserves.
-        let typed = [
-            self.shed_queue_watermark,
-            self.shed_tenant_inflight,
-            self.shed_policy,
-        ];
-        let typed: u128 = typed.map(u128::from).iter().sum();
-        c.eq("shed_total", u128::from(self.shed_total), typed);
+        let r = &self.serve_report;
+        let typed = u128::from(r.shed_queue_watermark) + u128::from(r.shed_tenant_inflight);
+        c.eq("serve_report.jobs_shed", u128::from(r.jobs_shed), typed);
         check!(c.eq(self.unattributed_sheds, 0));
-        check!(c.eq(self.trace_dropped, 0));
+        check!(c.eq(self.serve_report.trace_dropped, 0));
         check!(c.eq(self.all_conserved, true));
         for t in &self.tenants {
             let s = &t.stats;
@@ -453,16 +436,10 @@ pub(crate) mod tests {
             victim_cycles: 64,
             aggressor_cycles: 256,
             tenants: vec![tenant("aggressor"), tenant("tenant-a")],
-            shed_total: 4,
-            shed_queue_watermark: 1,
-            shed_tenant_inflight: 3,
-            shed_policy: 0,
             unattributed_sheds: 0,
             all_conserved: true,
             aggressor_isolation_ratio: 1.0,
-            queue_depth_hwm: 3,
             trace_events: 100,
-            trace_dropped: 0,
             correlation: ServeObsCorrelation {
                 job: 1,
                 tenant: "tenant-a".into(),
@@ -489,7 +466,13 @@ pub(crate) mod tests {
                 trace_dropped: 0,
                 tenant_inflight: Vec::new(),
             },
-            serve_report: ServeReport::from_recorder(&Recorder::disabled()),
+            serve_report: ServeReport {
+                jobs_shed: 4,
+                shed_queue_watermark: 1,
+                shed_tenant_inflight: 3,
+                queue_depth_hwm: 3,
+                ..ServeReport::from_recorder(&Recorder::disabled())
+            },
         };
         (report, baseline("serve_obs"))
     }
@@ -502,15 +485,21 @@ pub(crate) mod tests {
                 ("aggressor_isolation_ratio", |r, _| {
                     r.aggressor_isolation_ratio = 0.89
                 }),
-                ("shed_total", |r, b| b.min_shed = r.shed_total + 1),
-                ("shed_total", |r, _| {
-                    r.shed_total = 0;
-                    r.shed_queue_watermark = 0;
-                    r.shed_tenant_inflight = 0;
+                ("serve_report.jobs_shed", |r, b| {
+                    b.min_shed = r.serve_report.jobs_shed + 1
                 }),
-                ("shed_total", |r, _| r.shed_policy = 1),
+                ("serve_report.jobs_shed", |r, _| {
+                    r.serve_report.jobs_shed = 0;
+                    r.serve_report.shed_queue_watermark = 0;
+                    r.serve_report.shed_tenant_inflight = 0;
+                }),
+                ("serve_report.jobs_shed", |r, _| {
+                    r.serve_report.shed_tenant_inflight += 1
+                }),
                 ("unattributed_sheds", |r, _| r.unattributed_sheds = 1),
-                ("trace_dropped", |r, _| r.trace_dropped = 1),
+                ("serve_report.trace_dropped", |r, _| {
+                    r.serve_report.trace_dropped = 1
+                }),
                 ("all_conserved", |r, _| r.all_conserved = false),
                 ("tenants[tenant-a].stats.submitted", |r, _| {
                     r.tenants[1].stats.submitted += 1

@@ -1,22 +1,25 @@
-//! Pluggable admission control: turn live overload telemetry into shed
-//! decisions *before* a job is enqueued.
+//! Admission control: shed a submission *before* it is enqueued when one
+//! of the two [`crate::ServeConfig`] limits is reached.
 //!
-//! The hard queue-capacity bound is not a policy — a full queue always
-//! rejects with [`crate::SubmitError::QueueFull`], exactly as before. An
-//! [`AdmissionPolicy`] runs *after* that check and may shed a submission
-//! that would otherwise fit, based on the [`AdmissionContext`] the server
-//! assembles from its health counters (queue depth and high watermark,
-//! the submitting tenant's in-flight count, the rolling wait-time p99).
+//! The hard queue-capacity bound runs first: a full queue always rejects
+//! with [`crate::SubmitError::QueueFull`]. A submission that would fit is
+//! then shed when the queue is at [`crate::ServeConfig::queue_watermark`]
+//! (checked first) or its tenant already has
+//! [`crate::ServeConfig::tenant_inflight_cap`] jobs in flight. Both limits
+//! are `None` by default, so a default server sheds nothing.
 //!
 //! Every shed is attributable: the server bumps `serve.shed.total` and
-//! `serve.shed.<reason>` counters, charges the tenant's
-//! [`crate::TenantStats::shed`], and emits a correlated `job_shed` trace
-//! instant carrying the job id, tenant, and reason — so an operator can
-//! reconstruct exactly which tenant lost which jobs and why.
+//! `serve.shed.<reason>` counters, counts the shed per reason for
+//! [`crate::Server::report`] and [`crate::Server::snapshot`], charges the
+//! tenant's [`crate::TenantStats::shed`], and emits a correlated `job_shed`
+//! trace instant carrying the job id, tenant, and reason — so an operator
+//! can reconstruct exactly which tenant lost which jobs and why.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+
+use crate::config::ServeConfig;
 
 /// Which kind of work a submission carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,40 +42,15 @@ impl JobKind {
     }
 }
 
-/// The live overload signals an [`AdmissionPolicy`] decides on. Assembled
-/// by the server at submit time; `#[non_exhaustive]` so new signals can be
-/// added without breaking external policies.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct AdmissionContext<'a> {
-    /// Tenant label of the submission (the default tenant when unlabeled).
-    pub tenant: &'a str,
-    /// What the submission would run.
-    pub kind: JobKind,
-    /// Jobs queued right now (the submission is not yet among them).
-    pub queue_depth: usize,
-    /// Hard queue bound; `queue_depth < queue_capacity` is already checked.
-    pub queue_capacity: usize,
-    /// Deepest the queue has ever been on this server.
-    pub queue_depth_hwm: usize,
-    /// The submitting tenant's accepted-but-not-finished job count.
-    pub tenant_inflight: u64,
-    /// Rolling-window p99 of queue wait, in microseconds (0 until enough
-    /// jobs have been dequeued to estimate it).
-    pub rolling_wait_p99_us: f64,
-}
-
 /// Why a submission was shed. Carried in [`crate::SubmitError::Shed`] and
 /// summarized per-reason in `serve.shed.*` counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShedReason {
-    /// Queue depth reached the policy's watermark (soft bound below the
-    /// hard capacity).
+    /// Queue depth reached the watermark (soft bound below the hard
+    /// capacity).
     QueueWatermark { depth: usize, watermark: usize },
     /// The tenant already has its cap of in-flight jobs.
     TenantInflight { inflight: u64, cap: u64 },
-    /// A custom policy shed for its own reason.
-    Policy(String),
 }
 
 impl ShedReason {
@@ -81,7 +59,6 @@ impl ShedReason {
         match self {
             ShedReason::QueueWatermark { .. } => "queue_watermark",
             ShedReason::TenantInflight { .. } => "tenant_inflight",
-            ShedReason::Policy(_) => "policy",
         }
     }
 }
@@ -95,115 +72,53 @@ impl fmt::Display for ShedReason {
             ShedReason::TenantInflight { inflight, cap } => {
                 write!(f, "tenant has {inflight} jobs in flight (cap {cap})")
             }
-            ShedReason::Policy(why) => write!(f, "policy: {why}"),
         }
     }
 }
 
-/// What the policy decided for one submission.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdmissionDecision {
-    /// Enqueue the job.
-    Admit,
-    /// Refuse it with [`crate::SubmitError::Shed`].
-    Shed(ShedReason),
-}
-
-/// A load-shedding policy consulted once per submission, after the hard
-/// capacity check. Implementations must be cheap (they run under the queue
-/// lock) and side-effect free — the server does all the accounting.
-pub trait AdmissionPolicy: fmt::Debug + Send + Sync {
-    fn admit(&self, ctx: &AdmissionContext<'_>) -> AdmissionDecision;
-}
-
-/// The default policy: watermark-based shedding, off until configured.
-///
-/// With both knobs `None` (the default) it admits everything, so a default
-/// server behaves exactly as before — backpressure only at hard capacity.
-///
-/// ```
-/// use mcfpga_serve::{ServeConfig, WatermarkAdmission};
-/// use std::sync::Arc;
-///
-/// let cfg = ServeConfig::default().with_admission(Arc::new(
-///     WatermarkAdmission::default()
-///         .with_queue_watermark(24)
-///         .with_tenant_inflight_cap(4),
-/// ));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WatermarkAdmission {
-    /// Shed any submission arriving while `queue_depth >= watermark`.
-    pub queue_watermark: Option<usize>,
-    /// Shed a tenant's submission while it has this many jobs in flight.
-    pub tenant_inflight_cap: Option<u64>,
-}
-
-impl WatermarkAdmission {
-    /// Soft queue-depth bound (below the hard capacity).
-    pub fn with_queue_watermark(mut self, watermark: usize) -> Self {
-        self.queue_watermark = Some(watermark);
-        self
-    }
-
-    /// Per-tenant in-flight cap — the aggressor-isolation lever: one tenant
-    /// flooding the server sheds against its own cap while others admit.
-    pub fn with_tenant_inflight_cap(mut self, cap: u64) -> Self {
-        self.tenant_inflight_cap = Some(cap);
-        self
-    }
-}
-
-impl AdmissionPolicy for WatermarkAdmission {
-    fn admit(&self, ctx: &AdmissionContext<'_>) -> AdmissionDecision {
-        if let Some(watermark) = self.queue_watermark {
-            if ctx.queue_depth >= watermark {
-                return AdmissionDecision::Shed(ShedReason::QueueWatermark {
-                    depth: ctx.queue_depth,
-                    watermark,
-                });
-            }
+/// Why `config` sheds a submission that arrives while `queue_depth` jobs
+/// are queued and its tenant has `tenant_inflight` jobs in flight, or
+/// `None` to admit it. The watermark is checked before the tenant cap.
+pub(crate) fn shed_reason(
+    config: &ServeConfig,
+    queue_depth: usize,
+    tenant_inflight: u64,
+) -> Option<ShedReason> {
+    if let Some(watermark) = config.queue_watermark {
+        if queue_depth >= watermark {
+            return Some(ShedReason::QueueWatermark {
+                depth: queue_depth,
+                watermark,
+            });
         }
-        if let Some(cap) = self.tenant_inflight_cap {
-            if ctx.tenant_inflight >= cap {
-                return AdmissionDecision::Shed(ShedReason::TenantInflight {
-                    inflight: ctx.tenant_inflight,
-                    cap,
-                });
-            }
-        }
-        AdmissionDecision::Admit
     }
+    if let Some(cap) = config.tenant_inflight_cap {
+        if tenant_inflight >= cap {
+            return Some(ShedReason::TenantInflight {
+                inflight: tenant_inflight,
+                cap,
+            });
+        }
+    }
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ctx(depth: usize, inflight: u64) -> AdmissionContext<'static> {
-        AdmissionContext {
-            tenant: "t",
-            kind: JobKind::Sim,
-            queue_depth: depth,
-            queue_capacity: 64,
-            queue_depth_hwm: depth,
-            tenant_inflight: inflight,
-            rolling_wait_p99_us: 0.0,
-        }
-    }
-
     #[test]
     fn default_policy_admits_everything() {
-        let p = WatermarkAdmission::default();
-        assert_eq!(p.admit(&ctx(63, 1_000_000)), AdmissionDecision::Admit);
+        let cfg = ServeConfig::default();
+        assert_eq!(shed_reason(&cfg, 63, 1_000_000), None);
     }
 
     #[test]
     fn watermark_sheds_at_and_above_the_line() {
-        let p = WatermarkAdmission::default().with_queue_watermark(4);
-        assert_eq!(p.admit(&ctx(3, 0)), AdmissionDecision::Admit);
-        match p.admit(&ctx(4, 0)) {
-            AdmissionDecision::Shed(
+        let cfg = ServeConfig::default().with_queue_watermark(4);
+        assert_eq!(shed_reason(&cfg, 3, 0), None);
+        match shed_reason(&cfg, 4, 0) {
+            Some(
                 r @ ShedReason::QueueWatermark {
                     depth: 4,
                     watermark: 4,
@@ -213,14 +128,24 @@ mod tests {
             }
             other => panic!("expected watermark shed, got {other:?}"),
         }
+        // A queue at its watermark and a tenant at its cap: the watermark
+        // is checked first, so it names the shed.
+        let both = cfg.with_tenant_inflight_cap(2);
+        assert_eq!(
+            shed_reason(&both, 4, 2),
+            Some(ShedReason::QueueWatermark {
+                depth: 4,
+                watermark: 4,
+            })
+        );
     }
 
     #[test]
     fn inflight_cap_sheds_the_saturated_tenant_only() {
-        let p = WatermarkAdmission::default().with_tenant_inflight_cap(2);
-        assert_eq!(p.admit(&ctx(0, 1)), AdmissionDecision::Admit);
-        match p.admit(&ctx(0, 2)) {
-            AdmissionDecision::Shed(ShedReason::TenantInflight {
+        let cfg = ServeConfig::default().with_tenant_inflight_cap(2);
+        assert_eq!(shed_reason(&cfg, 0, 1), None);
+        match shed_reason(&cfg, 0, 2) {
+            Some(ShedReason::TenantInflight {
                 inflight: 2,
                 cap: 2,
             }) => {}

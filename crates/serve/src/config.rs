@@ -1,9 +1,6 @@
 //! Server sizing knobs.
 
-use std::sync::Arc;
 use std::time::Duration;
-
-use crate::admission::{AdmissionPolicy, WatermarkAdmission};
 
 /// Sizing and policy knobs for a [`crate::Server`].
 ///
@@ -18,8 +15,12 @@ use crate::admission::{AdmissionPolicy, WatermarkAdmission};
 /// let cfg = ServeConfig::default()
 ///     .with_workers(4)
 ///     .with_queue_capacity(128)
-///     .with_default_deadline(Some(Duration::from_secs(30)));
+///     .with_default_deadline(Some(Duration::from_secs(30)))
+///     .with_queue_watermark(96)
+///     .with_tenant_inflight_cap(4);
 /// assert_eq!(cfg.workers, 4);
+/// assert_eq!(cfg.queue_watermark, Some(96));
+/// assert_eq!(cfg.tenant_inflight_cap, Some(4));
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -43,9 +44,15 @@ pub struct ServeConfig {
     /// queued when its deadline elapses completes with
     /// [`crate::ServeError::Deadline`] instead of running.
     pub default_deadline: Option<Duration>,
-    /// Load-shedding policy consulted after the hard capacity check. The
-    /// default ([`WatermarkAdmission::default`]) never sheds.
-    pub admission: Arc<dyn AdmissionPolicy>,
+    /// Shed any submission arriving while this many jobs are queued — a
+    /// soft bound below `queue_capacity`, checked after it and before
+    /// `tenant_inflight_cap`. `None` (the default) never sheds.
+    pub queue_watermark: Option<usize>,
+    /// Shed a tenant's submission while it already has this many jobs in
+    /// flight — the aggressor-isolation lever: one tenant flooding the
+    /// server sheds against its own cap while others admit. `None` (the
+    /// default) never sheds.
+    pub tenant_inflight_cap: Option<u64>,
 }
 
 impl Default for ServeConfig {
@@ -55,7 +62,8 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             cache_capacity: 32,
             default_deadline: None,
-            admission: Arc::new(WatermarkAdmission::default()),
+            queue_watermark: None,
+            tenant_inflight_cap: None,
         }
     }
 }
@@ -87,11 +95,19 @@ impl ServeConfig {
         self
     }
 
-    /// Admission policy; every shed it causes surfaces as
+    /// Queue depth at which submissions are shed (see
+    /// [`ServeConfig::queue_watermark`]). Every shed surfaces as
     /// [`crate::SubmitError::Shed`], `serve.shed.*` counters, the tenant's
     /// shed count, and a correlated `job_shed` trace event.
-    pub fn with_admission(mut self, admission: Arc<dyn AdmissionPolicy>) -> Self {
-        self.admission = admission;
+    pub fn with_queue_watermark(mut self, watermark: usize) -> Self {
+        self.queue_watermark = Some(watermark);
+        self
+    }
+
+    /// Per-tenant in-flight cap (see [`ServeConfig::tenant_inflight_cap`]);
+    /// its sheds surface like the watermark's.
+    pub fn with_tenant_inflight_cap(mut self, cap: u64) -> Self {
+        self.tenant_inflight_cap = Some(cap);
         self
     }
 

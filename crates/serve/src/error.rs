@@ -63,9 +63,10 @@ impl std::fmt::Display for MalformedReason {
 pub enum SubmitError {
     /// The bounded submission queue is at capacity — explicit backpressure.
     QueueFull { capacity: usize },
-    /// The admission policy refused the job while the queue still had room
-    /// (overload protection; see [`crate::AdmissionPolicy`]). The reason is
-    /// also counted under `serve.shed.*` and traced as a `job_shed` event.
+    /// An admission limit refused the job while the queue still had room
+    /// (overload protection; see [`crate::ServeConfig::queue_watermark`] and
+    /// [`crate::ServeConfig::tenant_inflight_cap`]). The reason is also
+    /// counted under `serve.shed.*` and traced as a `job_shed` event.
     Shed { reason: ShedReason },
     /// The submission is structurally invalid (bad stimulus shape, bad
     /// snapshot) — caught at submit time so a malformed job never burns a
@@ -82,7 +83,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::QueueFull { capacity } => {
                 write!(f, "submission queue full ({capacity} jobs)")
             }
-            SubmitError::Shed { reason } => write!(f, "shed by admission policy: {reason}"),
+            SubmitError::Shed { reason } => write!(f, "shed by admission control: {reason}"),
             SubmitError::Malformed { reason } => write!(f, "malformed submission: {reason}"),
             SubmitError::Shutdown => write!(f, "server is shutting down"),
         }

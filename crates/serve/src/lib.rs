@@ -56,9 +56,9 @@
 //! - **Live health** — [`Server::snapshot`] returns a [`HealthSnapshot`]
 //!   (queue depth + high watermark, worker utilization, per-tenant
 //!   inflight, rolling-window p99s) without touching the queue lock.
-//! - **Admission control** — a pluggable [`AdmissionPolicy`]
-//!   (default: [`WatermarkAdmission`], which never sheds until configured)
-//!   turns those signals into typed [`SubmitError::Shed`] refusals, each
+//! - **Admission control** — two [`ServeConfig`] limits, a queue watermark
+//!   and a per-tenant in-flight cap (both off by default), shed work below
+//!   the hard queue bound as typed [`SubmitError::Shed`] refusals, each
 //!   counted under `serve.shed.*` and traced as a `job_shed` event.
 //!
 //! The whole crate is written against the redesigned fallible API surface
@@ -79,9 +79,7 @@ mod shard;
 mod snapshot;
 mod tenant;
 
-pub use admission::{
-    AdmissionContext, AdmissionDecision, AdmissionPolicy, JobKind, ShedReason, WatermarkAdmission,
-};
+pub use admission::{JobKind, ShedReason};
 pub use config::ServeConfig;
 pub use design::{design_key, CompiledDesign, DesignFingerprint};
 pub use error::{MalformedReason, ServeError, SubmitError};

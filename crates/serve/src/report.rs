@@ -5,10 +5,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::tenant::TenantReport;
 
-/// Snapshot of a server's counters and latency histograms, in the shape the
-/// benchmark driver embeds into `BENCH_serve.json`. Built from the same
-/// `mcfpga-obs` recorder the server streams into, so a live dashboard and
-/// this report can never disagree.
+/// Snapshot of a server's counters and latency histograms, in the shape
+/// `experiments serve` embeds into `BENCH_serve.json`.
+/// [`ServeReport::from_recorder`] reads every field but `tenants` from the
+/// `mcfpga-obs` recorder the server streams into. [`crate::Server::report`]
+/// then sets the refusal counts (`jobs_rejected`, `jobs_shed`,
+/// `shed_queue_watermark`, `shed_tenant_inflight`), `queue_depth_hwm` and
+/// `tenants` from the server's own counts, which it keeps whether or not the
+/// recorder is enabled and which [`crate::Server::snapshot`] reads too.
 ///
 /// Outcome conservation: every submission attempt terminates as exactly one
 /// of completed / failed / expired / rejected / shed (or is still in
@@ -31,14 +35,13 @@ pub struct ServeReport {
     pub jobs_expired_in_service: u64,
     /// Submissions refused with `QueueFull` backpressure or `Shutdown`.
     pub jobs_rejected: u64,
-    /// Submissions refused by the admission policy (`serve.shed.total`).
+    /// Submissions shed by an admission limit (`serve.shed.total`):
+    /// `shed_queue_watermark + shed_tenant_inflight`.
     pub jobs_shed: u64,
     /// Sheds caused by the queue-depth watermark.
     pub shed_queue_watermark: u64,
     /// Sheds caused by a per-tenant in-flight cap.
     pub shed_tenant_inflight: u64,
-    /// Sheds caused by a custom policy reason.
-    pub shed_policy: u64,
     /// Design lookups by compile and restore jobs answered from the cache.
     pub cache_hits: u64,
     /// Design lookups by compile and restore jobs that had to compile.
@@ -94,7 +97,6 @@ impl ServeReport {
             jobs_shed: report.counter("serve.shed.total"),
             shed_queue_watermark: report.counter("serve.shed.queue_watermark"),
             shed_tenant_inflight: report.counter("serve.shed.tenant_inflight"),
-            shed_policy: report.counter("serve.shed.policy"),
             cache_hits: report.counter("serve.cache_hits"),
             cache_misses: report.counter("serve.cache_misses"),
             cache_near_hits: report.counter("serve.cache.near_hit"),

@@ -24,7 +24,7 @@ use mcfpga_netlist::Netlist;
 use mcfpga_obs::Recorder;
 use mcfpga_sim::{CompileError, CompileOptions, DeltaStats, KernelScratch, SimError, LANES};
 
-use crate::admission::{AdmissionContext, AdmissionDecision, JobKind};
+use crate::admission::{shed_reason, JobKind, ShedReason};
 use crate::cache::DesignCache;
 use crate::config::ServeConfig;
 use crate::design::{CompiledDesign, DesignFingerprint};
@@ -153,9 +153,11 @@ struct ServerInner {
     depth: AtomicUsize,
     depth_hwm: AtomicUsize,
     busy_workers: AtomicUsize,
-    // QueueFull and Shutdown refusals (not malformed ones), kept whether
-    // or not the recorder is enabled.
+    // QueueFull and Shutdown refusals (not malformed ones) and sheds per
+    // reason, kept whether or not the recorder is enabled.
     rejected: AtomicU64,
+    shed_queue_watermark: AtomicU64,
+    shed_tenant_inflight: AtomicU64,
     n_workers: usize,
     tenants: TenantTable,
     wait_window: RollingLatency,
@@ -221,8 +223,9 @@ impl Drop for BusyGuard<'_> {
 /// rejected + shed + inflight`), every accepted job's trace events carry its
 /// [`JobId`] and tenant label (reconstructable with `mcfpga_obs::job_trace`),
 /// and [`Server::snapshot`] reads live health without touching the queue
-/// lock. An [`crate::AdmissionPolicy`] may shed work before the hard
-/// capacity bound; each shed is typed, counted, and traced.
+/// lock. The [`ServeConfig`] queue watermark and tenant in-flight cap may
+/// shed work below the hard capacity bound; each shed is typed, counted,
+/// and traced.
 ///
 /// Sessions are portable: [`Server::checkpoint_session`] serializes one
 /// into a [`SessionSnapshot`] and [`Server::restore_session`] resumes it —
@@ -275,6 +278,8 @@ impl Server {
             depth_hwm: AtomicUsize::new(0),
             busy_workers: AtomicUsize::new(0),
             rejected: AtomicU64::new(0),
+            shed_queue_watermark: AtomicU64::new(0),
+            shed_tenant_inflight: AtomicU64::new(0),
             n_workers,
             tenants: TenantTable::default(),
             wait_window: RollingLatency::default(),
@@ -296,9 +301,9 @@ impl Server {
 
     /// Enqueue any request — the unified submission door. Refused with
     /// [`SubmitError::QueueFull`] when the bounded queue is at capacity,
-    /// [`SubmitError::Shed`] when the admission policy declines it, or
-    /// [`SubmitError::Malformed`] when the submission is structurally
-    /// invalid — the caller owns the retry policy.
+    /// [`SubmitError::Shed`] when a [`ServeConfig`] admission limit is
+    /// reached, or [`SubmitError::Malformed`] when the submission is
+    /// structurally invalid — the caller owns the retry policy.
     pub fn submit(&self, request: impl Into<Request>) -> Result<JobHandle<Outcome>, SubmitError> {
         let request = request.into();
         let inner = &self.inner;
@@ -348,20 +353,21 @@ impl Server {
                 capacity: inner.config.queue_capacity,
             });
         }
-        let ctx = AdmissionContext {
-            tenant: &tenant,
-            kind,
-            queue_depth: queue.len(),
-            queue_capacity: inner.config.queue_capacity,
-            queue_depth_hwm: inner.depth_hwm.load(Ordering::Relaxed),
-            tenant_inflight: inner.tenants.inflight(&tenant),
-            rolling_wait_p99_us: inner.wait_window.p99(),
-        };
-        if let AdmissionDecision::Shed(reason) = inner.config.admission.admit(&ctx) {
-            let depth = queue.len();
+        let depth = queue.len();
+        let inflight = inner.tenants.inflight(&tenant);
+        if let Some(reason) = shed_reason(&inner.config, depth, inflight) {
             drop(queue);
+            let (count, counter) = match reason {
+                ShedReason::QueueWatermark { .. } => {
+                    (&inner.shed_queue_watermark, "serve.shed.queue_watermark")
+                }
+                ShedReason::TenantInflight { .. } => {
+                    (&inner.shed_tenant_inflight, "serve.shed.tenant_inflight")
+                }
+            };
+            count.fetch_add(1, Ordering::Relaxed);
             inner.rec.incr("serve.shed.total", 1);
-            inner.rec.incr(&format!("serve.shed.{}", reason.key()), 1);
+            inner.rec.incr(counter, 1);
             inner.tenants.on_shed(&tenant);
             crec.instant(
                 "job_shed",
@@ -370,7 +376,7 @@ impl Server {
                     ("reason", reason.key().into()),
                     ("detail", reason.to_string().into()),
                     ("queue_depth", depth.into()),
-                    ("tenant_inflight", ctx.tenant_inflight.into()),
+                    ("tenant_inflight", inflight.into()),
                 ],
             );
             return Err(SubmitError::Shed { reason });
@@ -603,21 +609,29 @@ impl Server {
             },
             sessions: inner.sessions.lock().unwrap().len(),
             cached_designs: inner.cache.lock().unwrap().len(),
-            rolling_wait_p99_us: inner.wait_window.p99_fresh(),
-            rolling_service_p99_us: inner.service_window.p99_fresh(),
-            jobs_shed: inner.tenants.shed_total(),
+            rolling_wait_p99_us: inner.wait_window.p99(),
+            rolling_service_p99_us: inner.service_window.p99(),
+            jobs_shed: inner.shed_queue_watermark.load(Ordering::Relaxed)
+                + inner.shed_tenant_inflight.load(Ordering::Relaxed),
             jobs_rejected: inner.rejected.load(Ordering::Relaxed),
             trace_dropped: inner.rec.trace_dropped(),
             tenant_inflight,
         }
     }
 
-    /// Snapshot the serving metrics collected so far, including per-tenant
-    /// ledgers and the authoritative queue-depth high watermark.
+    /// Snapshot the serving metrics collected so far. Refusal counts, the
+    /// queue-depth high watermark and the per-tenant ledgers are the
+    /// server's own, read whether or not its recorder is enabled; the rest
+    /// comes from the recorder (see [`ServeReport`]).
     pub fn report(&self) -> ServeReport {
-        let mut report = ServeReport::from_recorder(&self.inner.rec);
-        report.queue_depth_hwm = self.inner.depth_hwm.load(Ordering::Relaxed) as u64;
-        report.tenants = self.inner.tenants.reports();
+        let inner = &self.inner;
+        let mut report = ServeReport::from_recorder(&inner.rec);
+        report.jobs_rejected = inner.rejected.load(Ordering::Relaxed);
+        report.shed_queue_watermark = inner.shed_queue_watermark.load(Ordering::Relaxed);
+        report.shed_tenant_inflight = inner.shed_tenant_inflight.load(Ordering::Relaxed);
+        report.jobs_shed = report.shed_queue_watermark + report.shed_tenant_inflight;
+        report.queue_depth_hwm = inner.depth_hwm.load(Ordering::Relaxed) as u64;
+        report.tenants = inner.tenants.reports();
         report
     }
 }

@@ -2,13 +2,12 @@
 //!
 //! [`crate::Server::snapshot`] assembles a [`HealthSnapshot`] from counters
 //! the hot paths already maintain — atomic queue depth mirror, busy-worker
-//! count, per-tenant inflight gauges, and [`RollingLatency`] windows whose
-//! p99 is cached and refreshed only every few records. Reading a snapshot
-//! never touches the job queue lock, so it is cheap enough to consult on
-//! every submission (the admission path does exactly that).
+//! count, refusal counts, per-tenant inflight gauges — plus the p99 of each
+//! [`RollingLatency`] window, computed when the snapshot is taken. Reading
+//! a snapshot never touches the job queue lock, so a health check can poll
+//! it at any rate without stalling submissions.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
@@ -49,7 +48,8 @@ pub struct HealthSnapshot {
     pub rolling_wait_p99_us: f64,
     /// Rolling-window p99 of service time, microseconds.
     pub rolling_service_p99_us: f64,
-    /// Lifetime admission-policy sheds, summed over the tenant ledgers.
+    /// Lifetime sheds by the queue watermark and the tenant in-flight cap
+    /// (the counts [`crate::Server::report`] reads too).
     pub jobs_shed: u64,
     /// Lifetime `QueueFull` and `Shutdown` refusals. Malformed submissions
     /// are not counted here, though the tenant ledger files them under
@@ -63,31 +63,12 @@ pub struct HealthSnapshot {
 
 /// Over how many recent samples the rolling p99 is computed.
 pub(crate) const ROLLING_WINDOW: usize = 512;
-/// Recompute the cached p99 every this many records.
-const REFRESH_EVERY: u64 = 32;
 
-/// A bounded ring of recent latency samples with a cached p99.
-///
-/// `record` is a short lock push plus, once every [`REFRESH_EVERY`]
-/// records, an `O(window log window)` refresh; `p99` is a single atomic
-/// load. The cache makes the admission path read stale-by-at-most-31
-/// -samples data instead of sorting 512 floats per submission.
-#[derive(Debug)]
+/// A bounded ring of recent latency samples: `record` is a short lock push,
+/// `p99` copies and sorts the window.
+#[derive(Debug, Default)]
 pub(crate) struct RollingLatency {
     window: Mutex<VecDeque<f64>>,
-    records: AtomicU64,
-    /// f64 bits of the cached p99.
-    cached_p99: AtomicU64,
-}
-
-impl Default for RollingLatency {
-    fn default() -> RollingLatency {
-        RollingLatency {
-            window: Mutex::new(VecDeque::with_capacity(ROLLING_WINDOW)),
-            records: AtomicU64::new(0),
-            cached_p99: AtomicU64::new(0.0f64.to_bits()),
-        }
-    }
 }
 
 impl RollingLatency {
@@ -97,35 +78,13 @@ impl RollingLatency {
             window.pop_front();
         }
         window.push_back(v);
-        let n = self.records.fetch_add(1, Ordering::Relaxed) + 1;
-        if n % REFRESH_EVERY == 1 {
-            // First record and every 32nd after: refresh while the lock is
-            // already held.
-            let p99 = Self::compute_p99(&window);
-            self.cached_p99.store(p99.to_bits(), Ordering::Relaxed);
-        }
     }
 
-    /// The cached rolling p99 (0 until the first record).
+    /// Nearest-rank p99 of the live window (0 until the first record).
     pub fn p99(&self) -> f64 {
-        f64::from_bits(self.cached_p99.load(Ordering::Relaxed))
-    }
-
-    /// Recompute from the live window, bypassing the cache. Used by
-    /// snapshots so a freshly idle server reports current tails.
-    pub fn p99_fresh(&self) -> f64 {
-        let window = self.window.lock().unwrap();
-        Self::compute_p99(&window)
-    }
-
-    fn compute_p99(window: &VecDeque<f64>) -> f64 {
-        if window.is_empty() {
-            return 0.0;
-        }
-        let mut sorted: Vec<f64> = window.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((0.99 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        let mut sorted: Vec<f64> = self.window.lock().unwrap().iter().copied().collect();
+        sorted.sort_by(f64::total_cmp);
+        mcfpga_obs::percentile(&sorted, 99.0)
     }
 }
 
@@ -140,14 +99,11 @@ mod tests {
         for _ in 0..ROLLING_WINDOW {
             r.record(10.0);
         }
-        assert_eq!(r.p99_fresh(), 10.0);
+        assert_eq!(r.p99(), 10.0);
         // A flood of slow samples displaces the old regime entirely.
         for _ in 0..ROLLING_WINDOW {
             r.record(5_000.0);
         }
-        assert_eq!(r.p99_fresh(), 5_000.0);
-        // The cached value is refreshed periodically, so after a full
-        // window of records it has certainly caught up.
         assert_eq!(r.p99(), 5_000.0);
     }
 
@@ -157,6 +113,6 @@ mod tests {
         for v in 1..=100 {
             r.record(v as f64);
         }
-        assert_eq!(r.p99_fresh(), 99.0);
+        assert_eq!(r.p99(), 99.0);
     }
 }

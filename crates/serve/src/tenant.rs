@@ -38,7 +38,7 @@ pub struct TenantStats {
     pub expired: u64,
     /// Submissions refused by hard backpressure (`QueueFull` / `Shutdown`).
     pub rejected: u64,
-    /// Submissions refused by the admission policy.
+    /// Submissions shed by the queue watermark or the tenant in-flight cap.
     pub shed: u64,
     /// Accepted jobs not yet finished (queued or being serviced).
     pub inflight: u64,
@@ -134,7 +134,7 @@ impl TenantTable {
         self.with(tenant, |a| a.stats.rejected += 1);
     }
 
-    /// The attempt was refused by the admission policy.
+    /// The attempt was shed by an admission limit.
     pub fn on_shed(&self, tenant: &str) {
         self.with(tenant, |a| a.stats.shed += 1);
     }
@@ -224,12 +224,6 @@ impl TenantTable {
             .iter()
             .map(|(t, a)| (t.clone(), a.stats.inflight))
             .collect()
-    }
-
-    /// Admission-policy sheds summed over every tenant.
-    pub fn shed_total(&self) -> u64 {
-        let accounts = self.accounts.lock().unwrap();
-        accounts.values().map(|a| a.stats.shed).sum()
     }
 
     /// Condense every tenant into report rows, label-ordered.

@@ -3,7 +3,6 @@
 //! with trace attribution, live health snapshots, and request-scoped
 //! correlation through the compile pipeline.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use mcfpga_arch::ArchSpec;
@@ -11,7 +10,7 @@ use mcfpga_netlist::{library, Netlist};
 use mcfpga_obs::{job_trace, JobSpan, Recorder, TracePhase};
 use mcfpga_serve::{
     CompileJob, RestoreJob, ServeConfig, ServeError, Server, SessionId, ShedReason, SimJob,
-    SubmitError, WatermarkAdmission, DEFAULT_TENANT, SNAPSHOT_VERSION,
+    SubmitError, DEFAULT_TENANT, SNAPSHOT_VERSION,
 };
 use mcfpga_sim::CompileOptions;
 
@@ -157,9 +156,7 @@ fn inflight_cap_shed_is_typed_counted_and_trace_attributed() {
             .with_queue_capacity(64)
             // Cap 0: every submission is over its tenant's in-flight cap
             // the moment it arrives — a deterministic shed.
-            .with_admission(Arc::new(
-                WatermarkAdmission::default().with_tenant_inflight_cap(0),
-            )),
+            .with_tenant_inflight_cap(0),
         &rec,
     );
     let err = server
@@ -215,9 +212,7 @@ fn queue_watermark_shed_fires_before_hard_capacity() {
             .with_workers(1)
             .with_queue_capacity(64)
             // Watermark 0 sheds on depth 0 — before capacity could matter.
-            .with_admission(Arc::new(
-                WatermarkAdmission::default().with_queue_watermark(0),
-            )),
+            .with_queue_watermark(0),
     );
     let err = server
         .submit_compile(CompileJob::new(arch(), cheap_circuits()).with_options(serial()))
@@ -433,24 +428,29 @@ fn served_compile_traces_one_map_place_route_unit_per_context() {
     }
 }
 
-/// The health snapshot's refusal counts come from state the server keeps
-/// whether or not it records: `jobs_shed` sums the tenant ledgers' sheds,
-/// and `jobs_rejected` counts QueueFull and Shutdown refusals but not
-/// malformed submissions (which the ledger also files under `rejected`).
+/// The health snapshot's and the report's refusal counts come from state
+/// the server keeps whether or not it records: `jobs_shed` counts sheds per
+/// reason, and `jobs_rejected` counts QueueFull and Shutdown refusals but
+/// not malformed submissions (which the ledger also files under
+/// `rejected`).
 #[test]
 fn snapshot_counts_refusals_without_a_recorder() {
     let shedding = Server::new(
         ServeConfig::default()
             .with_workers(1)
-            .with_admission(Arc::new(
-                WatermarkAdmission::default().with_tenant_inflight_cap(0),
-            )),
+            .with_tenant_inflight_cap(0),
     );
     let shed = shedding.submit_compile(CompileJob::new(arch(), cheap_circuits()));
     assert!(matches!(shed, Err(SubmitError::Shed { .. })), "{shed:?}");
     let snap = shedding.snapshot();
     assert_eq!(shedding.tenant_stats(DEFAULT_TENANT).unwrap().shed, 1);
     assert_eq!((snap.jobs_shed, snap.jobs_rejected), (1, 0));
+    let report = shedding.report();
+    assert_eq!((report.jobs_shed, report.jobs_rejected), (1, 0));
+    assert_eq!(
+        (report.shed_tenant_inflight, report.shed_queue_watermark),
+        (1, 0)
+    );
 
     // A snapshot from an admitting server, made malformed by its version.
     let open = Server::new(ServeConfig::default().with_workers(1));
@@ -482,4 +482,6 @@ fn snapshot_counts_refusals_without_a_recorder() {
     let snap = full.snapshot();
     assert_eq!(full.tenant_stats(DEFAULT_TENANT).unwrap().rejected, 2);
     assert_eq!((snap.jobs_shed, snap.jobs_rejected), (0, 1));
+    let report = full.report();
+    assert_eq!((report.jobs_shed, report.jobs_rejected), (0, 1));
 }
