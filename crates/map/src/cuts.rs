@@ -6,34 +6,46 @@
 //! function. We enumerate bounded sets of cuts per node in topological
 //! order (the classic priority-cuts scheme) and keep the best few by
 //! (depth, size).
+//!
+//! A cut holds its (at most six) leaves inline, and a node's merges run in
+//! scratch buffers reused across nodes, so merging two cuts allocates
+//! nothing: a node costs one sorted merge of at most twelve leaves per pair
+//! of cuts it combines, and keeps at most `CUT_LIMIT` cuts.
 
 use mcfpga_netlist::{Gate, Netlist, NodeId};
 
 /// Maximum cuts retained per node.
 const CUT_LIMIT: usize = 8;
 
-/// A cut: sorted leaf list plus bookkeeping for covering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cut {
-    /// Sorted, deduplicated leaves.
-    pub leaves: Vec<NodeId>,
-    /// Mapping depth if this cut is chosen (max leaf depth + 1).
-    pub depth: usize,
+/// The most leaves a cut holds: the largest supported LUT size.
+const MAX_LEAVES: usize = 6;
+
+/// Up to `MAX_LEAVES` sorted, deduplicated node ids held inline. Slots past
+/// `len` hold `NodeId(0)`, so two leaf sets are equal exactly when their
+/// leaves are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Leaves {
+    ids: [NodeId; MAX_LEAVES],
+    len: u8,
 }
 
-impl Cut {
-    fn trivial(node: NodeId, depth: usize) -> Self {
-        Cut {
-            leaves: vec![node],
-            depth,
-        }
+impl Leaves {
+    const EMPTY: Leaves = Leaves {
+        ids: [NodeId(0); MAX_LEAVES],
+        len: 0,
+    };
+
+    fn as_slice(&self) -> &[NodeId] {
+        &self.ids[..self.len as usize]
     }
 
-    fn merge(a: &Cut, b: &Cut, k: usize) -> Option<Vec<NodeId>> {
-        let mut leaves = Vec::with_capacity(a.leaves.len() + b.leaves.len());
+    /// The sorted union of two leaf sets, or `None` once it would exceed
+    /// `k` leaves.
+    fn merge(a: &[NodeId], b: &[NodeId], k: usize) -> Option<Leaves> {
+        let mut out = Leaves::EMPTY;
         let (mut i, mut j) = (0, 0);
-        while i < a.leaves.len() || j < b.leaves.len() {
-            let next = match (a.leaves.get(i), b.leaves.get(j)) {
+        while i < a.len() || j < b.len() {
+            let next = match (a.get(i), b.get(j)) {
                 (Some(&x), Some(&y)) => {
                     if x < y {
                         i += 1;
@@ -57,12 +69,35 @@ impl Cut {
                 }
                 (None, None) => break,
             };
-            leaves.push(next);
-            if leaves.len() > k {
+            if out.len as usize == k {
                 return None;
             }
+            out.ids[out.len as usize] = next;
+            out.len += 1;
         }
-        Some(leaves)
+        Some(out)
+    }
+}
+
+/// A cut: sorted leaves plus bookkeeping for covering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cut {
+    leaves: Leaves,
+    /// Mapping depth if this cut is chosen (max leaf depth + 1).
+    pub depth: usize,
+}
+
+impl Cut {
+    fn trivial(node: NodeId, depth: usize) -> Self {
+        let mut leaves = Leaves::EMPTY;
+        leaves.ids[0] = node;
+        leaves.len = 1;
+        Cut { leaves, depth }
+    }
+
+    /// Sorted, deduplicated leaves.
+    pub fn leaves(&self) -> &[NodeId] {
+        self.leaves.as_slice()
     }
 }
 
@@ -77,74 +112,103 @@ pub fn is_source(netlist: &Netlist, node: NodeId) -> bool {
 
 /// Per-node cut sets for a netlist at LUT size `k`.
 pub struct CutSet {
-    /// `cuts[node]` — each node's retained cuts, best first.
-    pub cuts: Vec<Vec<Cut>>,
+    /// Every node's retained cuts in one array, appended in topological
+    /// order: node `v`'s are `cuts[range[v].0..range[v].1]`.
+    cuts: Vec<Cut>,
+    range: Vec<(usize, usize)>,
     /// Chosen (best) mapping depth per node.
     pub depth: Vec<usize>,
 }
 
-/// Enumerate priority cuts for every node.
-pub fn enumerate(netlist: &Netlist, k: usize) -> CutSet {
-    assert!((2..=6).contains(&k), "LUT size {k} out of supported range");
+impl CutSet {
+    /// `node`'s retained cuts, best first.
+    pub fn cuts(&self, node: NodeId) -> &[Cut] {
+        let (start, end) = self.range[node.index()];
+        &self.cuts[start..end]
+    }
+}
+
+/// Enumerate priority cuts for every node, visiting nodes in `order`, a
+/// topological order of the netlist (see `Netlist::topo_order`).
+pub fn enumerate(netlist: &Netlist, order: &[NodeId], k: usize) -> CutSet {
+    assert!(
+        (2..=MAX_LEAVES).contains(&k),
+        "LUT size {k} out of supported range"
+    );
     let n = netlist.n_gates();
-    let mut cuts: Vec<Vec<Cut>> = vec![Vec::new(); n];
-    let mut depth = vec![0usize; n];
-    let order = netlist.topo_order().expect("valid netlist");
-    for id in order {
-        let gate = netlist.gate(id);
+    let mut set = CutSet {
+        cuts: Vec::with_capacity(n * CUT_LIMIT / 2),
+        range: vec![(0, 0); n],
+        depth: vec![0; n],
+    };
+    // The leaf sets merged over the fan-ins so far, the next fan-in's round
+    // of them, and the node's cuts.
+    let mut merged: Vec<Leaves> = Vec::new();
+    let mut next: Vec<Leaves> = Vec::new();
+    let mut node_cuts: Vec<Cut> = Vec::new();
+    for &id in order {
+        let start = set.cuts.len();
         if is_source(netlist, id) {
-            depth[id.index()] = 0;
-            cuts[id.index()] = vec![Cut::trivial(id, 0)];
+            set.depth[id.index()] = 0;
+            set.cuts.push(Cut::trivial(id, 0));
+            set.range[id.index()] = (start, start + 1);
             continue;
         }
-        let fanins = gate.fanins();
+        let fanins = netlist.gate(id).fanins();
         // Merge fan-in cut sets pairwise; a cut's depth is recomputed from
         // its leaves' chosen mapping depths (not from the fan-in cuts —
         // expanding through a fan-in absorbs it into this LUT's cone).
-        let mut merged: Vec<Vec<NodeId>> = vec![Vec::new()];
-        for f in &fanins {
-            let mut next: Vec<Vec<NodeId>> = Vec::new();
+        merged.clear();
+        merged.push(Leaves::EMPTY);
+        for &f in fanins.iter() {
+            next.clear();
             for m in &merged {
-                let m_cut = Cut {
-                    leaves: m.clone(),
-                    depth: 0,
-                };
-                for fc in &cuts[f.index()] {
-                    if let Some(leaves) = Cut::merge(&m_cut, fc, k) {
+                for fc in set.cuts(f) {
+                    if let Some(leaves) = Leaves::merge(m.as_slice(), fc.leaves(), k) {
                         if !next.contains(&leaves) {
                             next.push(leaves);
                         }
                     }
                 }
             }
-            merged = next;
+            std::mem::swap(&mut merged, &mut next);
             if merged.is_empty() {
                 break;
             }
         }
-        let mut node_cuts: Vec<Cut> = merged
-            .into_iter()
-            .map(|leaves| {
-                let d = leaves.iter().map(|l| depth[l.index()]).max().unwrap_or(0) + 1;
-                Cut { leaves, depth: d }
-            })
-            .collect();
+        node_cuts.clear();
+        node_cuts.extend(merged.iter().map(|&leaves| {
+            let d = leaves
+                .as_slice()
+                .iter()
+                .map(|l| set.depth[l.index()])
+                .max()
+                .unwrap_or(0)
+                + 1;
+            Cut { leaves, depth: d }
+        }));
         // The trivial cut guarantees feasibility (this node as a leaf of its
         // fanouts once it is itself implemented).
         let best_cut_depth = node_cuts.iter().map(|c| c.depth).min();
-        let own_depth = best_cut_depth
-            .unwrap_or_else(|| fanins.iter().map(|f| depth[f.index()]).max().unwrap_or(0) + 1);
+        let own_depth = best_cut_depth.unwrap_or_else(|| {
+            fanins
+                .iter()
+                .map(|f| set.depth[f.index()])
+                .max()
+                .unwrap_or(0)
+                + 1
+        });
         node_cuts.push(Cut::trivial(id, own_depth));
         // Trivial cuts sort last: they are fallbacks, not real covers.
         let sort_len = |c: &Cut| {
-            if c.leaves == [id] {
+            if c.leaves() == [id] {
                 usize::MAX
             } else {
-                c.leaves.len()
+                c.leaves().len()
             }
         };
         node_cuts.sort_by(|a, b| {
-            (a.depth, sort_len(a), &a.leaves).cmp(&(b.depth, sort_len(b), &b.leaves))
+            (a.depth, sort_len(a), a.leaves()).cmp(&(b.depth, sort_len(b), b.leaves()))
         });
         node_cuts.dedup_by(|a, b| a.leaves == b.leaves);
         if node_cuts.len() > CUT_LIMIT {
@@ -152,7 +216,7 @@ pub fn enumerate(netlist: &Netlist, k: usize) -> CutSet {
             // on every node being usable as a leaf.
             let trivial_pos = node_cuts
                 .iter()
-                .position(|c| c.leaves == [id])
+                .position(|c| c.leaves() == [id])
                 .expect("trivial cut present");
             if trivial_pos >= CUT_LIMIT {
                 let t = node_cuts.remove(trivial_pos);
@@ -162,10 +226,11 @@ pub fn enumerate(netlist: &Netlist, k: usize) -> CutSet {
                 node_cuts.truncate(CUT_LIMIT);
             }
         }
-        depth[id.index()] = own_depth;
-        cuts[id.index()] = node_cuts;
+        set.depth[id.index()] = own_depth;
+        set.cuts.extend_from_slice(&node_cuts);
+        set.range[id.index()] = (start, set.cuts.len());
     }
-    CutSet { cuts, depth }
+    set
 }
 
 /// Compute the truth table of `root`'s cone over `leaves`, bit-parallel over
@@ -242,10 +307,10 @@ mod tests {
         let b = n.input("b");
         let g = n.and(a, b);
         n.output("o", g);
-        let cs = enumerate(&n, 4);
-        let gc = &cs.cuts[g.index()];
-        assert!(gc.iter().any(|c| c.leaves == vec![a, b]));
-        assert!(gc.iter().any(|c| c.leaves == vec![g]));
+        let cs = enumerate(&n, &n.topo_order().unwrap(), 4);
+        let gc = cs.cuts(g);
+        assert!(gc.iter().any(|c| c.leaves() == [a, b]));
+        assert!(gc.iter().any(|c| c.leaves() == [g]));
         assert_eq!(cs.depth[g.index()], 1);
     }
 
@@ -259,13 +324,13 @@ mod tests {
             cur = n.not(cur);
         }
         n.output("o", cur);
-        let cs = enumerate(&n, 4);
+        let cs = enumerate(&n, &n.topo_order().unwrap(), 4);
         assert_eq!(cs.depth[cur.index()], 1, "whole chain in one LUT");
-        let best = &cs.cuts[cur.index()][0];
-        assert_eq!(best.leaves, vec![a]);
+        let best = &cs.cuts(cur)[0];
+        assert_eq!(best.leaves(), [a]);
         // Identity over one input: assignment 0 -> 0, assignment 1 -> 1.
         assert_eq!(
-            cone_table(&n, cur, &best.leaves),
+            cone_table(&n, cur, best.leaves()),
             0b10,
             "4 inversions = identity"
         );
@@ -308,11 +373,12 @@ mod tests {
             cur = n.xor(cur, i);
         }
         n.output("o", cur);
+        let order = n.topo_order().unwrap();
         for k in 2..=6 {
-            let cs = enumerate(&n, k);
-            for cuts in &cs.cuts {
-                for c in cuts {
-                    assert!(c.leaves.len() <= k, "cut wider than k={k}");
+            let cs = enumerate(&n, &order, k);
+            for &node in &order {
+                for c in cs.cuts(node) {
+                    assert!(c.leaves().len() <= k, "cut wider than k={k}");
                 }
             }
         }
@@ -347,14 +413,10 @@ mod tests {
         let q = n.dff(x, false);
         let g = n.xor(q, x);
         n.output("o", g);
-        let cs = enumerate(&n, 4);
-        assert_eq!(
-            cs.cuts[q.index()].len(),
-            1,
-            "sources have only the trivial cut"
-        );
-        let best = &cs.cuts[g.index()][0];
-        assert!(best.leaves.contains(&q));
-        assert!(best.leaves.contains(&x));
+        let cs = enumerate(&n, &n.topo_order().unwrap(), 4);
+        assert_eq!(cs.cuts(q).len(), 1, "sources have only the trivial cut");
+        let best = &cs.cuts(g)[0];
+        assert!(best.leaves().contains(&q));
+        assert!(best.leaves().contains(&x));
     }
 }

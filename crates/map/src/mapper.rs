@@ -107,10 +107,10 @@ fn source_of(netlist: &Netlist, node: NodeId, lut_of: &HashMap<NodeId, usize>) -
 
 /// Choose a cover for a netlist: depth-optimal cut per required node.
 pub fn choose_cover(netlist: &Netlist, k: usize) -> Result<Cover, MapError> {
-    netlist
-        .validate()
+    let order = netlist
+        .validated_order()
         .map_err(|e| MapError::Invalid(e.to_string()))?;
-    let cut_set = enumerate(netlist, k);
+    let cut_set = enumerate(netlist, &order, k);
 
     // Roots we must realise: primary-output nodes and DFF d-inputs that are
     // not already sources.
@@ -124,32 +124,31 @@ pub fn choose_cover(netlist: &Netlist, k: usize) -> Result<Cover, MapError> {
         }
     }
 
-    let mut chosen: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+    let mut chosen: Vec<Option<&[NodeId]>> = vec![None; netlist.n_gates()];
     let mut stack = required;
     while let Some(node) = stack.pop() {
-        if is_source(netlist, node) || chosen.contains_key(&node) {
+        if is_source(netlist, node) || chosen[node.index()].is_some() {
             continue;
         }
-        let best = cut_set.cuts[node.index()]
+        let best = cut_set
+            .cuts(node)
             .iter()
-            .find(|c| c.leaves != [node])
+            .find(|c| c.leaves() != [node])
             .unwrap_or_else(|| {
                 panic!("node {node} has only its trivial cut; k too small for its fan-in")
-            })
-            .clone();
-        for &leaf in &best.leaves {
+            });
+        for &leaf in best.leaves() {
             if leaf != node {
                 stack.push(leaf);
             }
         }
-        chosen.insert(node, best.leaves);
+        chosen[node.index()] = Some(best.leaves());
     }
 
     // Emit in topological order so LUT indices are usable as they appear.
-    let order = netlist.topo_order().expect("validated");
     let nodes = order
         .into_iter()
-        .filter_map(|id| chosen.remove(&id).map(|leaves| (id, leaves)))
+        .filter_map(|id| chosen[id.index()].map(|leaves| (id, leaves.to_vec())))
         .collect();
     Ok(Cover { nodes })
 }

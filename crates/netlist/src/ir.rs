@@ -58,20 +58,54 @@ pub enum Gate {
     },
 }
 
+/// A gate's fan-in node ids, in argument order, held inline: a gate has at
+/// most three. Derefs to a slice.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Fanins {
+    /// Slots past `len` hold `NodeId(0)`.
+    ids: [NodeId; 3],
+    len: u8,
+}
+
+impl Fanins {
+    fn of(ids: &[NodeId]) -> Fanins {
+        let mut fanins = Fanins {
+            ids: [NodeId(0); 3],
+            len: ids.len() as u8,
+        };
+        fanins.ids[..ids.len()].copy_from_slice(ids);
+        fanins
+    }
+}
+
+impl std::ops::Deref for Fanins {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for Fanins {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl Gate {
     /// Fan-in node ids, in argument order.
-    pub fn fanins(&self) -> Vec<NodeId> {
+    pub fn fanins(&self) -> Fanins {
         match *self {
-            Gate::Input(_) | Gate::Const(_) => vec![],
-            Gate::Not(a) => vec![a],
+            Gate::Input(_) | Gate::Const(_) => Fanins::of(&[]),
+            Gate::Not(a) => Fanins::of(&[a]),
             Gate::And(a, b)
             | Gate::Or(a, b)
             | Gate::Xor(a, b)
             | Gate::Nand(a, b)
             | Gate::Nor(a, b)
-            | Gate::Xnor(a, b) => vec![a, b],
-            Gate::Mux { sel, a, b } => vec![sel, a, b],
-            Gate::Dff { d, .. } => vec![d],
+            | Gate::Xnor(a, b) => Fanins::of(&[a, b]),
+            Gate::Mux { sel, a, b } => Fanins::of(&[sel, a, b]),
+            Gate::Dff { d, .. } => Fanins::of(&[d]),
         }
     }
 
@@ -334,6 +368,12 @@ impl Netlist {
     /// Validate references, DFF connectivity, name uniqueness, and the
     /// absence of combinational cycles.
     pub fn validate(&self) -> Result<(), NetlistError> {
+        self.validated_order().map(|_| ())
+    }
+
+    /// Validate as [`Netlist::validate`] does, and return the topological
+    /// order (see [`Netlist::topo_order`]) the check computes.
+    pub fn validated_order(&self) -> Result<Vec<NodeId>, NetlistError> {
         let n = self.gates.len() as u32;
         for (i, g) in self.gates.iter().enumerate() {
             if let Gate::Dff { d, .. } = g {
@@ -341,7 +381,7 @@ impl Netlist {
                     return Err(NetlistError::UnconnectedDff(NodeId(i as u32)));
                 }
             }
-            for f in g.fanins() {
+            for &f in g.fanins().iter() {
                 if f.0 >= n {
                     return Err(NetlistError::DanglingRef {
                         gate: NodeId(i as u32),
@@ -362,7 +402,7 @@ impl Netlist {
                 return Err(NetlistError::DuplicateInput(name.to_string()));
             }
         }
-        self.topo_order().map(|_| ())
+        self.topo_order()
     }
 
     /// Topological order of the *combinational* view: DFF outputs are
@@ -388,7 +428,11 @@ impl Netlist {
                 let gate = &self.gates[node as usize];
                 // DFFs break the cycle: do not traverse into their d input
                 // here; d is evaluated as an ordinary node elsewhere.
-                let fanins = if gate.is_dff() { vec![] } else { gate.fanins() };
+                let fanins = if gate.is_dff() {
+                    Fanins::of(&[])
+                } else {
+                    gate.fanins()
+                };
                 if *cursor < fanins.len() {
                     let child = fanins[*cursor];
                     *cursor += 1;
@@ -505,7 +549,7 @@ impl Netlist {
             }
             let d = g
                 .fanins()
-                .into_iter()
+                .iter()
                 .map(|f| depth[f.index()])
                 .max()
                 .unwrap_or(0)

@@ -25,6 +25,6 @@ pub mod text;
 pub mod words;
 
 pub use dfg::{Dfg, DfgNodeId, MergedDfg};
-pub use ir::{Gate, Netlist, NetlistError, NodeId, State};
+pub use ir::{Fanins, Gate, Netlist, NetlistError, NodeId, State};
 pub use random::{perturb_netlist, random_netlist, workload, RandomNetlistParams};
 pub use text::{from_text, to_text, ParseError};

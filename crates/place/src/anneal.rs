@@ -3,7 +3,7 @@
 use mcfpga_arch::Coord;
 use mcfpga_obs::Recorder;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::problem::{BlockKind, PlacementProblem};
@@ -12,7 +12,9 @@ use crate::problem::{BlockKind, PlacementProblem};
 #[derive(Debug, Clone, Copy)]
 pub struct AnnealOptions {
     pub seed: u64,
-    /// Moves per temperature step, per block.
+    /// Moves per temperature step, per block. Costing a move is O(1) per
+    /// net its two blocks sit on, whatever those nets' pin counts (see
+    /// [`place_with`]).
     pub moves_per_block: usize,
     /// Stop once the temperature falls to this absolute value. The
     /// schedule starts at `max(cost/nets, 1) / 4`, a quarter of the start
@@ -71,18 +73,9 @@ fn net_hpwl(net: &[usize], position: &[Coord]) -> u64 {
     if net.is_empty() {
         return 0;
     }
-    let mut min_x = u16::MAX;
-    let mut max_x = 0u16;
-    let mut min_y = u16::MAX;
-    let mut max_y = 0u16;
-    for &b in net {
-        let p = position[b];
-        min_x = min_x.min(p.x);
-        max_x = max_x.max(p.x);
-        min_y = min_y.min(p.y);
-        max_y = max_y.max(p.y);
-    }
-    (max_x - min_x) as u64 + (max_y - min_y) as u64
+    net.iter()
+        .fold(BBox::EMPTY, |bb, &b| bb.with(position[b]))
+        .hpwl()
 }
 
 fn total_cost(problem: &PlacementProblem, position: &[Coord]) -> u64 {
@@ -91,13 +84,16 @@ fn total_cost(problem: &PlacementProblem, position: &[Coord]) -> u64 {
 
 /// Rows of variable length in one flat array: row `i` is
 /// `items[start[i]..start[i + 1]]`.
-struct Csr {
+struct Csr<T> {
     start: Vec<usize>,
-    items: Vec<usize>,
+    items: Vec<T>,
 }
 
-impl Csr {
-    fn new<'a>(rows: impl IntoIterator<Item = &'a [usize]>) -> Csr {
+impl<T: Copy> Csr<T> {
+    fn new<'a>(rows: impl IntoIterator<Item = &'a [T]>) -> Csr<T>
+    where
+        T: 'a,
+    {
         let mut csr = Csr {
             start: vec![0],
             items: Vec::new(),
@@ -109,8 +105,179 @@ impl Csr {
         csr
     }
 
-    fn row(&self, i: usize) -> &[usize] {
+    fn row(&self, i: usize) -> &[T] {
         &self.items[self.start[i]..self.start[i + 1]]
+    }
+}
+
+/// A bounding box over grid coordinates; `EMPTY` holds none.
+#[derive(Debug, Clone, Copy)]
+struct BBox {
+    x0: u16,
+    x1: u16,
+    y0: u16,
+    y1: u16,
+}
+
+impl BBox {
+    const EMPTY: BBox = BBox {
+        x0: u16::MAX,
+        x1: 0,
+        y0: u16::MAX,
+        y1: 0,
+    };
+
+    /// The smallest box holding this one and `c`.
+    fn with(self, c: Coord) -> BBox {
+        BBox {
+            x0: self.x0.min(c.x),
+            x1: self.x1.max(c.x),
+            y0: self.y0.min(c.y),
+            y1: self.y1.max(c.y),
+        }
+    }
+
+    /// The smallest box holding both.
+    fn union(self, o: BBox) -> BBox {
+        BBox {
+            x0: self.x0.min(o.x0),
+            x1: self.x1.max(o.x1),
+            y0: self.y0.min(o.y0),
+            y1: self.y1.max(o.y1),
+        }
+    }
+
+    /// Half perimeter of a non-empty box.
+    fn hpwl(self) -> u64 {
+        (self.x1 - self.x0) as u64 + (self.y1 - self.y0) as u64
+    }
+}
+
+/// A block's place on one of its nets: the net, and the bounding box of
+/// the net's *other* blocks. With the block at `c`, the net's box is
+/// `others.with(c)`, so costing a move is O(1) per net whatever the net's
+/// pin count.
+#[derive(Debug, Clone, Copy)]
+struct Membership {
+    net: usize,
+    others: BBox,
+}
+
+/// Every net's exact bounding-box state for the move loop. Row `b` of
+/// `rows` holds block `b`'s memberships in net order; `members` lists each
+/// net's distinct blocks with the index of their membership in `rows`.
+/// `stamp`, `on_other` and `other_change` mark the nets of a move's second
+/// block, so a net holding both blocks is costed once.
+struct Nets {
+    rows: Csr<Membership>,
+    members: Csr<(usize, usize)>,
+    cost: Vec<u64>,
+    stamp: u64,
+    on_other: Vec<u64>,
+    other_change: Vec<i64>,
+}
+
+impl Nets {
+    fn new(problem: &PlacementProblem, position: &[Coord]) -> Nets {
+        // One extra row for the phantom block, which sits on no net.
+        let mut rows: Vec<Vec<Membership>> = vec![Vec::new(); position.len()];
+        for (net, pins) in problem.nets.iter().enumerate() {
+            for &b in pins {
+                // A block listed twice on one net is one member of it.
+                if rows[b].last().map(|m| m.net) != Some(net) {
+                    rows[b].push(Membership {
+                        net,
+                        others: BBox::EMPTY,
+                    });
+                }
+            }
+        }
+        let rows = Csr::new(rows.iter().map(Vec::as_slice));
+        let mut members: Vec<Vec<(usize, usize)>> = vec![Vec::new(); problem.nets.len()];
+        for b in 0..position.len() {
+            for i in rows.start[b]..rows.start[b + 1] {
+                members[rows.items[i].net].push((b, i));
+            }
+        }
+        let n_nets = problem.nets.len();
+        let mut nets = Nets {
+            rows,
+            members: Csr::new(members.iter().map(Vec::as_slice)),
+            cost: vec![0; n_nets],
+            stamp: 0,
+            on_other: vec![0; n_nets],
+            other_change: vec![0; n_nets],
+        };
+        for net in 0..n_nets {
+            nets.refresh(net, position);
+        }
+        nets
+    }
+
+    /// Recompute `net`'s HPWL and its members' boxes from `position`: each
+    /// member's box is the union of the boxes of the members before it and
+    /// after it, one pass each way, so O(the net's blocks).
+    fn refresh(&mut self, net: usize, position: &[Coord]) {
+        let Nets {
+            rows,
+            members,
+            cost,
+            ..
+        } = self;
+        let members = members.row(net);
+        let mut before = BBox::EMPTY;
+        for &(b, i) in members {
+            rows.items[i].others = before;
+            before = before.with(position[b]);
+        }
+        let mut after = BBox::EMPTY;
+        for &(b, i) in members.iter().rev() {
+            let others = &mut rows.items[i].others;
+            *others = others.union(after);
+            after = after.with(position[b]);
+        }
+        cost[net] = if members.is_empty() { 0 } else { after.hpwl() };
+    }
+
+    /// The change in total HPWL were block `b` moved from `old` to `target`
+    /// and block `other` from `target` to `old`; nothing is written but the
+    /// marks of `other`'s nets. Each loop's length is known as soon as the
+    /// blocks are, which keeps the move loop's branches cheap.
+    fn swap_delta(&mut self, b: usize, other: usize, old: Coord, target: Coord) -> i64 {
+        self.stamp += 1;
+        let mut delta = 0i64;
+        for m in self.rows.row(other) {
+            let change = m.others.with(old).hpwl() as i64 - self.cost[m.net] as i64;
+            self.on_other[m.net] = self.stamp;
+            self.other_change[m.net] = change;
+            delta += change;
+        }
+        for m in self.rows.row(b) {
+            // A net holding both blocks keeps its set of pin sites, and so
+            // its HPWL: take back the change counted for `other`.
+            delta += if self.on_other[m.net] == self.stamp {
+                -self.other_change[m.net]
+            } else {
+                m.others.with(target).hpwl() as i64 - self.cost[m.net] as i64
+            };
+        }
+        delta
+    }
+
+    /// Bring the nets of `b` and `other` up to date with `position`, after
+    /// the swap [`Nets::swap_delta`] last costed was made.
+    fn apply_swap(&mut self, b: usize, other: usize, position: &[Coord]) {
+        for i in self.rows.start[other]..self.rows.start[other + 1] {
+            self.refresh(self.rows.items[i].net, position);
+        }
+        for i in self.rows.start[b]..self.rows.start[b + 1] {
+            let net = self.rows.items[i].net;
+            // Members of a net holding both blocks moved too: its boxes are
+            // stale even though its HPWL is not.
+            if self.on_other[net] != self.stamp {
+                self.refresh(net, position);
+            }
+        }
     }
 }
 
@@ -151,8 +318,43 @@ impl AcceptCache {
     }
 }
 
-/// Occupancy marker of a site that holds no block.
-const EMPTY: usize = usize::MAX;
+/// The start placement: blocks in site order.
+fn start_positions(
+    problem: &PlacementProblem,
+    logic_sites: &[Coord],
+    io_sites: &[Coord],
+) -> Vec<Coord> {
+    let (mut logic, mut io) = (logic_sites.iter(), io_sites.iter());
+    problem
+        .kinds
+        .iter()
+        .map(|kind| match kind {
+            BlockKind::Logic => *logic.next().expect("a logic site per logic block"),
+            BlockKind::Io => *io.next().expect("an I/O site per I/O block"),
+        })
+        .collect()
+}
+
+/// Initial temperature: a quarter of the mean net cost, and at least 1/4.
+/// Hotter starts accept most of their first steps' moves and end no better
+/// placed.
+fn start_temperature(cost: u64, n_nets: usize) -> f64 {
+    (cost as f64 / n_nets as f64).max(1.0) * 0.25
+}
+
+/// Adaptive cooling: cool faster when the acceptance rate strays from the
+/// productive band (VPR's rule of thumb).
+fn cooling_factor(rate: f64) -> f64 {
+    if rate > 0.96 {
+        0.5
+    } else if rate > 0.8 {
+        0.9
+    } else if rate > 0.15 {
+        0.95
+    } else {
+        0.8
+    }
+}
 
 /// Place a problem with simulated annealing. Deterministic in the seed.
 pub fn place(problem: &PlacementProblem, opts: &AnnealOptions) -> Placement {
@@ -190,28 +392,20 @@ pub fn place_delta(
 /// As [`place`], recording the annealing schedule into `rec`: a `place` span,
 /// per-temperature-step acceptance statistics, and move counters. The result
 /// is identical to [`place`] for the same problem and options.
+///
+/// A move picks a block and a target site of its kind and swaps the block
+/// with the site's occupant; an empty site holds a phantom block that sits
+/// on no net, so every move is a swap. Each block keeps, per net it sits
+/// on, the exact bounding box of that net's other blocks, so costing a move
+/// is O(1) per net the two blocks sit on, whatever those nets' pin counts,
+/// and a rejected move writes no position. An accepted move recomputes its
+/// nets' boxes, O(their blocks).
 pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Recorder) -> Placement {
     let _span = rec.span("place", &[]);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let logic_sites = problem.grid.logic_sites();
     let io_sites = problem.grid.io_sites();
-
-    // Initial placement: blocks in site order.
-    let mut position: Vec<Coord> = Vec::with_capacity(problem.n_blocks());
-    let mut logic_cursor = 0usize;
-    let mut io_cursor = 0usize;
-    for kind in &problem.kinds {
-        match kind {
-            BlockKind::Logic => {
-                position.push(logic_sites[logic_cursor]);
-                logic_cursor += 1;
-            }
-            BlockKind::Io => {
-                position.push(io_sites[io_cursor]);
-                io_cursor += 1;
-            }
-        }
-    }
+    let mut position = start_positions(problem, &logic_sites, &io_sites);
 
     if problem.nets.is_empty() || problem.n_blocks() < 2 {
         let cost = total_cost(problem, &position);
@@ -219,8 +413,92 @@ pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Record
     }
 
     // Flat state for the move loop: site -> block occupancy indexed by
-    // `GridDim::index`, net -> pins and block -> nets as CSR rows, and each
-    // net's HPWL, so a move's "before" cost is a sum of cached values.
+    // `GridDim::index`, and every net's bounding-box state. Block `phantom`
+    // fills every empty site: it sits on no net, so a move to an empty site
+    // is a swap too, and its position is scratch.
+    let grid = problem.grid.full;
+    let n_blocks = problem.n_blocks();
+    let phantom = n_blocks;
+    position.push(Coord::new(0, 0));
+    let mut occupant = vec![phantom; grid.n_cells()];
+    for (b, &p) in position[..n_blocks].iter().enumerate() {
+        occupant[grid.index(p)] = b;
+    }
+    let mut nets = Nets::new(problem, &position);
+    let mut cost: u64 = nets.cost.iter().sum();
+
+    let mut t = start_temperature(cost, problem.nets.len());
+    let t_min = opts.t_min_factor;
+    let moves_per_t = opts.moves_per_block * n_blocks;
+
+    while t > t_min {
+        let mut accepted = 0usize;
+        let mut accept_p = AcceptCache::new(t);
+        for _ in 0..moves_per_t {
+            // Pick a block and a target site of the same kind. Each pick is
+            // `Rng::gen_range(0..len)`'s draw: one `next_u64`, reduced mod len.
+            let b = (rng.next_u64() % n_blocks as u64) as usize;
+            let sites = match problem.kinds[b] {
+                BlockKind::Logic => &logic_sites,
+                BlockKind::Io => &io_sites,
+            };
+            let target = sites[(rng.next_u64() % sites.len() as u64) as usize];
+            let old = position[b];
+            if target == old {
+                continue;
+            }
+            let target_site = grid.index(target);
+            let other = occupant[target_site];
+            let delta = nets.swap_delta(b, other, old, target);
+            let accept = delta <= 0 || rng.gen_bool(accept_p.get(delta));
+            if accept {
+                position[b] = target;
+                position[other] = old;
+                occupant[grid.index(old)] = other;
+                occupant[target_site] = b;
+                nets.apply_swap(b, other, &position);
+                cost = (cost as i64 + delta) as u64;
+                accepted += 1;
+            }
+        }
+        let rate = accepted as f64 / moves_per_t as f64;
+        rec.incr("anneal.temperature_steps", 1);
+        rec.incr("place.moves_accepted", accepted as u64);
+        rec.incr("place.moves_attempted", moves_per_t as u64);
+        rec.observe("place.acceptance_rate", rate);
+        rec.set_gauge("anneal.temperature", t);
+        rec.instant(
+            "anneal_step",
+            &[
+                ("temperature", t.into()),
+                ("acceptance_rate", rate.into()),
+                ("moves_accepted", (accepted as u64).into()),
+                ("cost", cost.into()),
+            ],
+        );
+        t *= cooling_factor(rate);
+    }
+    position.truncate(n_blocks);
+    debug_assert_eq!(cost, total_cost(problem, &position));
+    Placement { position, cost }
+}
+
+/// The move loop before nets kept bounding-box state, kept as the reference
+/// [`place`] must match draw for draw: a move writes both blocks' positions,
+/// recosts every affected net pin by pin, and reverts a rejected move.
+#[cfg(test)]
+fn reference_place(problem: &PlacementProblem, opts: &AnnealOptions) -> Placement {
+    /// Occupancy marker of a site that holds no block.
+    const EMPTY: usize = usize::MAX;
+
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let logic_sites = problem.grid.logic_sites();
+    let io_sites = problem.grid.io_sites();
+    let mut position = start_positions(problem, &logic_sites, &io_sites);
+    if problem.nets.is_empty() || problem.n_blocks() < 2 {
+        let cost = total_cost(problem, &position);
+        return Placement { position, cost };
+    }
     let grid = problem.grid.full;
     let mut occupant = vec![EMPTY; grid.n_cells()];
     for (b, &p) in position.iter().enumerate() {
@@ -241,27 +519,17 @@ pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Record
         .map(|n| net_hpwl(pins.row(n), &position))
         .collect();
     let mut cost: u64 = net_cost.iter().sum();
-
-    // Scratch for the move loop: the nets a move touches and their costs
-    // after it. A swap lists a net that holds both blocks twice, which is
-    // harmless: swapping two pins of one net leaves its set of pin
-    // positions, and so its HPWL, unchanged, so each copy adds zero to the
-    // delta and writes back the value already cached.
+    // A swap lists a net that holds both blocks twice, which is harmless:
+    // swapping two pins of one net leaves its set of pin positions, and so
+    // its HPWL, unchanged, so each copy adds zero to the delta.
     let mut affected: Vec<usize> = Vec::with_capacity(16);
     let mut after_cost: Vec<u64> = Vec::with_capacity(16);
-
-    // Initial temperature: a quarter of the mean net cost, and at least
-    // 1/4. Hotter starts accept most of their first steps' moves and end no
-    // better placed.
-    let mut t = (cost as f64 / problem.nets.len() as f64).max(1.0) * 0.25;
-    let t_min = opts.t_min_factor;
+    let mut t = start_temperature(cost, problem.nets.len());
     let moves_per_t = opts.moves_per_block * problem.n_blocks();
-
-    while t > t_min {
+    while t > opts.t_min_factor {
         let mut accepted = 0usize;
         let mut accept_p = AcceptCache::new(t);
         for _ in 0..moves_per_t {
-            // Pick a block and a target site of the same kind.
             let b = rng.gen_range(0..problem.n_blocks());
             let target = match problem.kinds[b] {
                 BlockKind::Logic => logic_sites[rng.gen_range(0..logic_sites.len())],
@@ -279,7 +547,6 @@ pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Record
                 affected.extend_from_slice(nets_of.row(other));
             }
             let before: u64 = affected.iter().map(|&n| net_cost[n]).sum();
-            // Apply, and cost the affected nets at the new positions.
             position[b] = target;
             if other != EMPTY {
                 position[other] = old;
@@ -302,42 +569,14 @@ pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Record
                 cost = (cost as i64 + delta) as u64;
                 accepted += 1;
             } else {
-                // Revert.
                 position[b] = old;
                 if other != EMPTY {
                     position[other] = target;
                 }
             }
         }
-        // Adaptive cooling: cool faster when the acceptance rate strays from
-        // the productive band (VPR's rule of thumb).
-        let rate = accepted as f64 / moves_per_t as f64;
-        rec.incr("anneal.temperature_steps", 1);
-        rec.incr("place.moves_accepted", accepted as u64);
-        rec.incr("place.moves_attempted", moves_per_t as u64);
-        rec.observe("place.acceptance_rate", rate);
-        rec.set_gauge("anneal.temperature", t);
-        rec.instant(
-            "anneal_step",
-            &[
-                ("temperature", t.into()),
-                ("acceptance_rate", rate.into()),
-                ("moves_accepted", (accepted as u64).into()),
-                ("cost", cost.into()),
-            ],
-        );
-        let alpha = if rate > 0.96 {
-            0.5
-        } else if rate > 0.8 {
-            0.9
-        } else if rate > 0.15 {
-            0.95
-        } else {
-            0.8
-        };
-        t *= alpha;
+        t *= cooling_factor(accepted as f64 / moves_per_t as f64);
     }
-    debug_assert_eq!(cost, total_cost(problem, &position));
     Placement { position, cost }
 }
 
@@ -496,6 +735,72 @@ mod prop_tests {
     use mcfpga_map::map_netlist;
     use mcfpga_netlist::{random_netlist, RandomNetlistParams};
     use proptest::prelude::*;
+
+    /// A problem from a random netlist sized to fit a `width x height`
+    /// grid; `doubled` lists one pin of every net a second time.
+    fn problem_on_grid(seed: u64, width: u16, height: u16, doubled: bool) -> PlacementProblem {
+        let arch = ArchSpec::paper_default().with_grid(width, height);
+        let grid = crate::problem::PlacementGrid::of(&arch);
+        let (logic, io) = (grid.logic_sites().len(), grid.io_sites().len());
+        let n_inputs = (io / 2).min(6);
+        // A LUT realises one gate, so this many gates fill at most every
+        // logic site.
+        let params = RandomNetlistParams {
+            n_inputs,
+            n_gates: (logic * arch.lut.outputs).min(40),
+            n_outputs: (io - n_inputs).min(4),
+            dff_fraction: 0.1,
+        };
+        let mapped = map_netlist(&random_netlist(params, seed), arch.lut.min_inputs).unwrap();
+        let mut problem = PlacementProblem::from_mapped(&mapped, &arch).unwrap();
+        if doubled {
+            for (i, net) in problem.nets.iter_mut().enumerate() {
+                net.push(net[i % net.len()]);
+            }
+        }
+        problem
+    }
+
+    #[test]
+    fn a_grid_wider_than_64_columns_matches_the_reference() {
+        for seed in 0..4 {
+            for doubled in [false, true] {
+                let problem = problem_on_grid(seed, 70, 3, doubled);
+                let opts = AnnealOptions {
+                    seed,
+                    moves_per_block: 3,
+                    ..Default::default()
+                };
+                assert_eq!(place(&problem, &opts), reference_place(&problem, &opts));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// The move loop makes the reference's every draw and accept
+        /// decision: the same placement and cost on any grid, schedule
+        /// length and netlist, with or without a pin listed twice.
+        #[test]
+        fn place_matches_the_reference(
+            seed in 0u64..1000,
+            anneal_seed in 0u64..1000,
+            moves_per_block in 1usize..=12,
+            width in 2u16..=70,
+            height in 2u16..=5,
+            doubled in any::<bool>(),
+        ) {
+            let problem = problem_on_grid(seed, width, height, doubled);
+            let opts = AnnealOptions {
+                seed: anneal_seed,
+                moves_per_block,
+                ..Default::default()
+            };
+            let placement = place(&problem, &opts);
+            placement.validate(&problem).unwrap();
+            prop_assert_eq!(placement, reference_place(&problem, &opts));
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]

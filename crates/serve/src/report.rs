@@ -9,10 +9,22 @@ use crate::tenant::TenantReport;
 /// `experiments serve` embeds into `BENCH_serve.json`.
 /// [`ServeReport::from_recorder`] reads every field but `tenants` from the
 /// `mcfpga-obs` recorder the server streams into. [`crate::Server::report`]
-/// then sets the refusal counts (`jobs_rejected`, `jobs_shed`,
-/// `shed_queue_watermark`, `shed_tenant_inflight`), `queue_depth_hwm` and
-/// `tenants` from the server's own counts, which it keeps whether or not the
-/// recorder is enabled and which [`crate::Server::snapshot`] reads too.
+/// then sets, from the server's own ledger, which it keeps whether or not
+/// the recorder is enabled:
+/// - the job outcomes `jobs_submitted` (accepted: the tenants' summed
+///   attempts less their refusals and sheds), `jobs_completed`,
+///   `jobs_failed` and `jobs_expired`, and the lookups `cache_hits` and
+///   `cache_misses`, summed over the tenant rows;
+/// - the refusals `jobs_rejected`, `jobs_malformed` (the tenants' summed
+///   `rejected` less the server's QueueFull/Shutdown count), `jobs_shed`,
+///   `shed_queue_watermark` and `shed_tenant_inflight`, which
+///   [`crate::Server::snapshot`] reads too;
+/// - `queue_depth_hwm` and `tenants`.
+///
+/// The rest needs an enabled recorder and reads 0 (or `None`) without
+/// one: `jobs_expired_in_service`, `cache_near_hits`,
+/// `delta_contexts_reused`, `cache_evictions`, `checkpoints`, `restores`,
+/// `restore_recompiles`, `trace_dropped`, `wait_us` and `service_us`.
 ///
 /// Outcome conservation: every submission attempt terminates as exactly one
 /// of completed / failed / expired / rejected / shed (or is still in

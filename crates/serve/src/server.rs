@@ -619,19 +619,35 @@ impl Server {
         }
     }
 
-    /// Snapshot the serving metrics collected so far. Refusal counts, the
-    /// queue-depth high watermark and the per-tenant ledgers are the
-    /// server's own, read whether or not its recorder is enabled; the rest
-    /// comes from the recorder (see [`ServeReport`]).
+    /// Snapshot the serving metrics collected so far. Job outcomes, cache
+    /// lookups, refusals, the queue-depth high watermark and the per-tenant
+    /// ledgers are the server's own, read whether or not its recorder is
+    /// enabled; the rest comes from the recorder (see [`ServeReport`]).
     pub fn report(&self) -> ServeReport {
         let inner = &self.inner;
         let mut report = ServeReport::from_recorder(&inner.rec);
-        report.jobs_rejected = inner.rejected.load(Ordering::Relaxed);
+        let tenants = inner.tenants.reports();
+        let total = |count: fn(&TenantStats) -> u64| -> u64 {
+            tenants.iter().map(|t| count(&t.stats)).sum()
+        };
+        let rejected = inner.rejected.load(Ordering::Relaxed);
+        // A tenant's `rejected` also files malformed submissions; the
+        // server's own count holds only QueueFull and Shutdown. Attempts
+        // still being decided count as accepted until they are.
+        report.jobs_submitted =
+            total(|s| s.submitted).saturating_sub(total(|s| s.rejected) + total(|s| s.shed));
+        report.jobs_completed = total(|s| s.completed);
+        report.jobs_failed = total(|s| s.failed);
+        report.jobs_expired = total(|s| s.expired);
+        report.cache_hits = total(|s| s.cache_hits);
+        report.cache_misses = total(|s| s.cache_misses);
+        report.jobs_malformed = total(|s| s.rejected).saturating_sub(rejected);
+        report.jobs_rejected = rejected;
         report.shed_queue_watermark = inner.shed_queue_watermark.load(Ordering::Relaxed);
         report.shed_tenant_inflight = inner.shed_tenant_inflight.load(Ordering::Relaxed);
         report.jobs_shed = report.shed_queue_watermark + report.shed_tenant_inflight;
         report.queue_depth_hwm = inner.depth_hwm.load(Ordering::Relaxed) as u64;
-        report.tenants = inner.tenants.reports();
+        report.tenants = tenants;
         report
     }
 }

@@ -484,4 +484,46 @@ fn snapshot_counts_refusals_without_a_recorder() {
     assert_eq!((snap.jobs_shed, snap.jobs_rejected), (0, 1));
     let report = full.report();
     assert_eq!((report.jobs_shed, report.jobs_rejected), (0, 1));
+    assert_eq!((report.jobs_malformed, report.jobs_submitted), (1, 0));
+}
+
+/// `Server::report()` reads job outcomes and cache lookups from the
+/// server's own ledger, so a server without a recorder counts its jobs in
+/// the report's totals as it does in the tenant row.
+#[test]
+fn report_counts_jobs_without_a_recorder() {
+    let server = Server::new(ServeConfig::default().with_workers(1));
+    server
+        .submit_compile(CompileJob::new(arch(), cheap_circuits()).with_options(serial()))
+        .expect("accepted")
+        .wait()
+        .expect("compiles");
+    let report = server.report();
+    assert_eq!(
+        (
+            report.jobs_submitted,
+            report.jobs_completed,
+            report.cache_misses
+        ),
+        (1, 1, 1)
+    );
+    assert_eq!(
+        (
+            report.jobs_failed,
+            report.jobs_expired,
+            report.cache_hits,
+            report.jobs_malformed
+        ),
+        (0, 0, 0, 0)
+    );
+    let row = &report.tenants[0].stats;
+    assert_eq!(report.tenants.len(), 1);
+    assert_eq!(
+        (row.submitted, row.completed, row.cache_misses),
+        (
+            report.jobs_submitted,
+            report.jobs_completed,
+            report.cache_misses
+        )
+    );
 }
