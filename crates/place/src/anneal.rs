@@ -179,8 +179,7 @@ struct Nets {
 
 impl Nets {
     fn new(problem: &PlacementProblem, position: &[Coord]) -> Nets {
-        // One extra row for the phantom block, which sits on no net.
-        let mut rows: Vec<Vec<Membership>> = vec![Vec::new(); position.len()];
+        let mut rows: Vec<Vec<Membership>> = vec![Vec::new(); problem.n_blocks()];
         for (net, pins) in problem.nets.iter().enumerate() {
             for &b in pins {
                 // A block listed twice on one net is one member of it.
@@ -192,9 +191,11 @@ impl Nets {
                 }
             }
         }
+        // The phantom block's row: it sits on no net.
+        rows.push(Vec::new());
         let rows = Csr::new(rows.iter().map(Vec::as_slice));
         let mut members: Vec<Vec<(usize, usize)>> = vec![Vec::new(); problem.nets.len()];
-        for b in 0..position.len() {
+        for b in 0..problem.n_blocks() {
             for i in rows.start[b]..rows.start[b + 1] {
                 members[rows.items[i].net].push((b, i));
             }
