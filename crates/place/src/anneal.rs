@@ -268,13 +268,14 @@ impl Nets {
     /// Bring the nets of `b` and `other` up to date with `position`, after
     /// the swap [`Nets::swap_delta`] last costed was made.
     fn apply_swap(&mut self, b: usize, other: usize, position: &[Coord]) {
+        // `other`'s nets include those holding both blocks: their HPWL is
+        // unchanged, but two of their members moved, so their boxes are
+        // stale.
         for i in self.rows.start[other]..self.rows.start[other + 1] {
             self.refresh(self.rows.items[i].net, position);
         }
         for i in self.rows.start[b]..self.rows.start[b + 1] {
             let net = self.rows.items[i].net;
-            // Members of a net holding both blocks moved too: its boxes are
-            // stale even though its HPWL is not.
             if self.on_other[net] != self.stamp {
                 self.refresh(net, position);
             }
