@@ -319,11 +319,13 @@ pub(crate) mod tests {
 
     /// Three bit-identical single-context deltas, all served as near hits.
     pub(crate) fn passing() -> (DeltaBench, Baseline) {
-        let mut serve_report = ServeReport::from_recorder(&Recorder::disabled());
-        serve_report.jobs_submitted = 4;
-        serve_report.jobs_completed = 4;
-        serve_report.cache_near_hits = 3;
-        serve_report.delta_contexts_reused = 9;
+        let serve_report = ServeReport {
+            jobs_submitted: 4,
+            jobs_completed: 4,
+            cache_near_hits: 3,
+            delta_contexts_reused: 9,
+            ..ServeReport::default()
+        };
         let report = DeltaBench {
             experiment: "delta".into(),
             n_contexts: 4,

@@ -18,6 +18,9 @@ pub mod shard;
 pub mod sim;
 
 use mcfpga::netlist::{library, Netlist};
+use mcfpga::sim::{MultiDevice, LANES};
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 /// The benchmark circuit suite used across experiments.
 pub fn suite() -> Vec<Netlist> {
@@ -33,6 +36,56 @@ pub fn mixed_contexts() -> Vec<Netlist> {
         library::alu(4),
         library::popcount(6),
     ]
+}
+
+/// The deterministic schedule `experiments sim` and `experiments probe`
+/// drive over `circuits` (the [`mixed_contexts`] suite): 512 words, each a
+/// context, switched at the word boundary with probability 0.3, and one
+/// random word (64 independent vectors) per input of that context.
+///
+/// Panics if a circuit carries state: [`scalar_replay`] packs a single
+/// register file's outputs into lanes, which is only meaningful when the
+/// suite is combinational.
+pub fn mixed_schedule(circuits: &[Netlist]) -> Vec<(usize, Vec<u64>)> {
+    let stateless = circuits.iter().all(|c| c.initial_state().bits.is_empty());
+    assert!(stateless, "mixed suite must be combinational");
+    let mut rng = StdRng::seed_from_u64(2027);
+    let mut context = 0usize;
+    (0..512)
+        .map(|_| {
+            if rng.gen_bool(0.3) {
+                context = rng.gen_range(0..circuits.len());
+            }
+            let arity = circuits[context].inputs().len();
+            (context, (0..arity).map(|_| rng.next_u64()).collect())
+        })
+        .collect()
+}
+
+/// Replay `schedule` on `dev` from power-on through its scalar step, every
+/// lane of every word, packing each word's outputs back into lanes: the
+/// reference the batched and probed passes are checked against bit for
+/// bit.
+pub fn scalar_replay(dev: &mut MultiDevice, schedule: &[(usize, Vec<u64>)]) -> Vec<Vec<u64>> {
+    dev.reset();
+    let mut bits: Vec<bool> = Vec::new();
+    schedule
+        .iter()
+        .map(|(c, inputs)| {
+            dev.switch_context(*c);
+            let mut packed: Vec<u64> = Vec::new();
+            for lane in 0..LANES {
+                bits.clear();
+                bits.extend(inputs.iter().map(|w| (w >> lane) & 1 == 1));
+                let out = dev.step(&bits);
+                packed.resize(out.len(), 0);
+                for (w, &b) in packed.iter_mut().zip(&out) {
+                    *w |= (b as u64) << lane;
+                }
+            }
+            packed
+        })
+        .collect()
 }
 
 /// Render a ruled section header.

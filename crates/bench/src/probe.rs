@@ -1,7 +1,7 @@
 //! `experiments probe` and its report, `BENCH_probe.json`.
 
 use crate::gate::{self, check, labels, Checks, Report, Violation};
-use crate::{header, mixed_contexts};
+use crate::{header, mixed_contexts, mixed_schedule, scalar_replay};
 use mcfpga::config::ColumnSetStats;
 use mcfpga::netlist::{workload, RandomNetlistParams};
 use mcfpga::prelude::*;
@@ -13,66 +13,19 @@ use serde::{Deserialize, Serialize};
 /// the paper's 5% change-rate point (`BENCH_probe.json`).
 pub fn run() {
     use mcfpga::sim::{ProbeSet, LANES};
-    use rand::rngs::StdRng;
-    use rand::{Rng, RngCore, SeedableRng};
 
     header("probe: signal probes, activity census, congestion, switch energy");
     let arch = ArchSpec::paper_default();
     let circuits = mixed_contexts();
-    // The scalar replay below packs a single register file's outputs into
-    // lanes, which is only meaningful when the suite carries no state.
-    for c in &circuits {
-        assert!(
-            c.initial_state().bits.is_empty(),
-            "mixed suite must be combinational"
-        );
-    }
     let rec = Recorder::enabled();
     let mut dev = MultiDevice::compile_with(&arch, &circuits, &rec).expect("compile");
     let n_ctx = circuits.len();
-    let arity: Vec<usize> = circuits.iter().map(|c| c.inputs().len()).collect();
 
-    // The sim experiment's exact deterministic schedule (same seed, same
-    // switch probability).
-    let words = 512usize;
-    let mut rng = StdRng::seed_from_u64(2027);
-    let mut context = 0usize;
-    let schedule: Vec<(usize, Vec<u64>)> = (0..words)
-        .map(|_| {
-            if rng.gen_bool(0.3) {
-                context = rng.gen_range(0..n_ctx);
-            }
-            (
-                context,
-                (0..arity[context]).map(|_| rng.next_u64()).collect(),
-            )
-        })
-        .collect();
-
-    // Scalar replay: every lane of every word through the interpreted
-    // device, outputs packed back into words — the reference the probe
-    // rings are checked against bit-for-bit.
-    dev.reset();
-    let mut bits: Vec<bool> = Vec::new();
-    let scalar_words: Vec<Vec<u64>> = schedule
-        .iter()
-        .map(|(c, inputs)| {
-            dev.switch_context(*c);
-            let mut packed: Vec<u64> = Vec::new();
-            for lane in 0..LANES {
-                bits.clear();
-                bits.extend(inputs.iter().map(|w| (w >> lane) & 1 == 1));
-                let out = dev.step(&bits);
-                if lane == 0 {
-                    packed = vec![0u64; out.len()];
-                }
-                for (w, &b) in packed.iter_mut().zip(&out) {
-                    *w |= (b as u64) << lane;
-                }
-            }
-            packed
-        })
-        .collect();
+    // The sim experiment's exact deterministic schedule, and the scalar
+    // replay the probe rings are checked against bit-for-bit.
+    let schedule = mixed_schedule(&circuits);
+    let words = schedule.len();
+    let scalar_words = scalar_replay(&mut dev, &schedule);
 
     // Phase 1: the disabled path — no probes armed, no census — against a
     // never-probed twin compiled from the same circuits with the same

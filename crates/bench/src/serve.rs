@@ -334,17 +334,22 @@ pub(crate) mod tests {
     /// Both servers drained; every repeat job hit the cache.
     pub(crate) fn passing() -> (ServeBench, Baseline) {
         let base: Baseline = baseline("serve");
-        let mut scaling_report = ServeReport::from_recorder(&Recorder::disabled());
-        scaling_report.jobs_submitted = 24;
-        scaling_report.jobs_completed = 24;
-        scaling_report.cache_hits = 12;
-        let mut sim_report = ServeReport::from_recorder(&Recorder::disabled());
-        sim_report.jobs_submitted = 36;
-        sim_report.jobs_completed = 36;
+        let scaling_report = ServeReport {
+            jobs_submitted: 24,
+            jobs_completed: 24,
+            cache_hits: 12,
+            ..ServeReport::default()
+        };
         let rec = Recorder::enabled();
         rec.observe("latency", 10.0);
         let hist = rec.histogram("latency");
-        (sim_report.wait_us, sim_report.service_us) = (hist.clone(), hist);
+        let sim_report = ServeReport {
+            jobs_submitted: 36,
+            jobs_completed: 36,
+            wait_us: hist.clone(),
+            service_us: hist,
+            ..ServeReport::default()
+        };
         let report = ServeBench {
             experiment: "serve".into(),
             available_parallelism: 2,

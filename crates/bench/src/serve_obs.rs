@@ -471,7 +471,7 @@ pub(crate) mod tests {
                 shed_queue_watermark: 1,
                 shed_tenant_inflight: 3,
                 queue_depth_hwm: 3,
-                ..ServeReport::from_recorder(&Recorder::disabled())
+                ..ServeReport::default()
             },
         };
         (report, baseline("serve_obs"))

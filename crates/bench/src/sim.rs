@@ -1,7 +1,7 @@
 //! `experiments sim` and its report, `BENCH_sim.json`.
 
 use crate::gate::{self, check, labels, Checks, Report, Violation};
-use crate::{header, mixed_contexts};
+use crate::{header, mixed_contexts, mixed_schedule, scalar_replay};
 use mcfpga::netlist::{workload, RandomNetlistParams};
 use mcfpga::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -11,19 +11,11 @@ use serde::{Deserialize, Serialize};
 pub fn run() {
     use mcfpga::sim::{lut_fault_campaign, KernelScratch, LANES, SUPPORTED_WIDTHS};
     use rand::rngs::StdRng;
-    use rand::{Rng, RngCore, SeedableRng};
+    use rand::{RngCore, SeedableRng};
 
     header("sim: bit-parallel compiled kernel (64 vectors per word)");
     let arch = ArchSpec::paper_default();
     let circuits = mixed_contexts();
-    // The scalar pass below packs a single register file's outputs into
-    // lanes, which is only meaningful when the suite carries no state.
-    for c in &circuits {
-        assert!(
-            c.initial_state().bits.is_empty(),
-            "mixed suite must be combinational"
-        );
-    }
     let rec = Recorder::enabled();
     let mut dev = MultiDevice::compile_with(&arch, &circuits, &rec).expect("compile");
     let n_ctx = circuits.len();
@@ -31,20 +23,8 @@ pub fn run() {
 
     // One deterministic schedule drives both paths: context switches at
     // word boundaries, 64 independent random vectors per word.
-    let words = 512usize;
-    let mut rng = StdRng::seed_from_u64(2027);
-    let mut context = 0usize;
-    let schedule: Vec<(usize, Vec<u64>)> = (0..words)
-        .map(|_| {
-            if rng.gen_bool(0.3) {
-                context = rng.gen_range(0..n_ctx);
-            }
-            (
-                context,
-                (0..arity[context]).map(|_| rng.next_u64()).collect(),
-            )
-        })
-        .collect();
+    let schedule = mixed_schedule(&circuits);
+    let words = schedule.len();
 
     // The timed passes below measure the scalar path and the kernel, not
     // the recorder: lower every kernel while it is attached (the report
@@ -56,30 +36,10 @@ pub fn run() {
     dev.attach_recorder(&Recorder::disabled());
 
     // Scalar pass: every lane of every word, one vector per interpreted
-    // step. The per-lane outputs are packed back into words so the batched
-    // pass can be checked bit-for-bit against them.
-    dev.reset();
-    let mut bits: Vec<bool> = Vec::new();
+    // step, packed back into words so the batched pass can be checked
+    // bit-for-bit against them.
     let scalar_start = std::time::Instant::now();
-    let scalar_words: Vec<Vec<u64>> = schedule
-        .iter()
-        .map(|(c, inputs)| {
-            dev.switch_context(*c);
-            let mut packed: Vec<u64> = Vec::new();
-            for lane in 0..LANES {
-                bits.clear();
-                bits.extend(inputs.iter().map(|w| (w >> lane) & 1 == 1));
-                let out = dev.step(&bits);
-                if lane == 0 {
-                    packed = vec![0u64; out.len()];
-                }
-                for (w, &b) in packed.iter_mut().zip(&out) {
-                    *w |= (b as u64) << lane;
-                }
-            }
-            packed
-        })
-        .collect();
+    let scalar_words = scalar_replay(&mut dev, &schedule);
     let scalar_us = scalar_start.elapsed().as_micros().max(1) as u64;
 
     // Batched passes over the same words. The first pass is cross-checked

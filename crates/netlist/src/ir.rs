@@ -458,16 +458,10 @@ impl Netlist {
 
     // ---- evaluation ------------------------------------------------------
 
-    /// Evaluate combinational values for the given inputs and current state.
-    /// Returns the value of every node.
-    pub fn eval_all(&self, inputs: &[bool], state: &State) -> Result<Vec<bool>, NetlistError> {
-        if inputs.len() != self.inputs.len() {
-            return Err(NetlistError::InputArity {
-                expected: self.inputs.len(),
-                got: inputs.len(),
-            });
-        }
-        let order = self.topo_order()?;
+    /// Evaluate combinational values for `inputs`, of checked arity, and
+    /// the current state, visiting gates in `order`, the netlist's
+    /// [`Netlist::topo_order`]. Returns the value of every node.
+    fn eval_all(&self, order: &[NodeId], inputs: &[bool], state: &State) -> Vec<bool> {
         let mut vals = vec![false; self.gates.len()];
         let mut input_cursor = 0usize;
         let mut dff_cursor = 0usize;
@@ -486,7 +480,7 @@ impl Netlist {
                 _ => {}
             }
         }
-        for id in order {
+        for &id in order {
             let v = match *self.gate(id) {
                 Gate::Input(_) | Gate::Dff { .. } => continue,
                 Gate::Const(c) => c,
@@ -507,12 +501,33 @@ impl Netlist {
             };
             vals[id.index()] = v;
         }
-        Ok(vals)
+        vals
     }
 
     /// One clock cycle: compute outputs for `inputs`, then commit DFF state.
     pub fn step(&self, inputs: &[bool], state: &mut State) -> Result<Vec<bool>, NetlistError> {
-        let vals = self.eval_all(inputs, state)?;
+        self.step_in_order(None, inputs, state)
+    }
+
+    /// [`Netlist::step`] visiting gates in `order`, this netlist's
+    /// [`Netlist::topo_order`], so that a replay stepping one netlist for
+    /// many cycles computes the order once; `None` computes it on this call.
+    pub fn step_in_order(
+        &self,
+        order: Option<&[NodeId]>,
+        inputs: &[bool],
+        state: &mut State,
+    ) -> Result<Vec<bool>, NetlistError> {
+        if inputs.len() != self.inputs.len() {
+            return Err(NetlistError::InputArity {
+                expected: self.inputs.len(),
+                got: inputs.len(),
+            });
+        }
+        let vals = match order {
+            Some(order) => self.eval_all(order, inputs, state),
+            None => self.eval_all(&self.topo_order()?, inputs, state),
+        };
         for (slot, id) in self.dffs.iter().enumerate() {
             if let Gate::Dff { d, .. } = self.gate(*id) {
                 state.bits[slot] = vals[d.index()];
@@ -528,13 +543,7 @@ impl Netlist {
     /// Purely combinational evaluation (asserts there are no DFFs).
     pub fn eval_comb(&self, inputs: &[bool]) -> Result<Vec<bool>, NetlistError> {
         assert!(self.dffs.is_empty(), "eval_comb on sequential netlist");
-        let state = self.initial_state();
-        let vals = self.eval_all(inputs, &state)?;
-        Ok(self
-            .outputs
-            .iter()
-            .map(|(_, id)| vals[id.index()])
-            .collect())
+        self.step(inputs, &mut self.initial_state())
     }
 
     /// Logic depth (longest combinational path, in gates).

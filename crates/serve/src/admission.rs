@@ -8,12 +8,13 @@
 //! [`crate::ServeConfig::tenant_inflight_cap`] jobs in flight. Both limits
 //! are `None` by default, so a default server sheds nothing.
 //!
-//! Every shed is attributable: the server bumps `serve.shed.total` and
-//! `serve.shed.<reason>` counters, counts the shed per reason for
-//! [`crate::Server::report`] and [`crate::Server::snapshot`], charges the
-//! tenant's [`crate::TenantStats::shed`], and emits a correlated `job_shed`
-//! trace instant carrying the job id, tenant, and reason — so an operator
-//! can reconstruct exactly which tenant lost which jobs and why.
+//! Every shed is attributable: one ledger call counts it under
+//! `serve.shed.total` and `serve.shed.<reason>` (read by
+//! [`crate::Server::report`] and [`crate::Server::snapshot`], and forwarded
+//! to the recorder) and charges the tenant's [`crate::TenantStats::shed`];
+//! the server emits a correlated `job_shed` trace instant carrying the job
+//! id, tenant, and reason — so an operator can reconstruct exactly which
+//! tenant lost which jobs and why.
 
 use std::fmt;
 

@@ -36,9 +36,12 @@
 //!   ([`ShardRouter::migrate_session`]), and kill/recovery built on the
 //!   checkpoint store ([`ShardRouter::kill_shard`] /
 //!   [`ShardRouter::recover`]).
-//! - Queue depth, cache hits/misses/evictions, wait/service latency
-//!   histograms, and per-job outcomes stream through `mcfpga-obs`;
-//!   [`Server::report`] condenses them into a serializable [`ServeReport`].
+//! - Every job event — outcome, cache hit, near hit, eviction, checkpoint,
+//!   restore — is counted once, in the server's ledger, which forwards the
+//!   same `serve.*` counters to `mcfpga-obs`. [`Server::report`] condenses
+//!   the ledger into a serializable [`ServeReport`] whether or not the
+//!   server records; [`ServeReport::from_recorder`] sums every server that
+//!   streams into one recorder.
 //!
 //! Production-observability surface:
 //!

@@ -7,29 +7,16 @@ use crate::tenant::TenantReport;
 
 /// Snapshot of a server's counters and latency histograms, in the shape
 /// `experiments serve` embeds into `BENCH_serve.json`.
-/// [`ServeReport::from_recorder`] reads every field but `tenants` from the
-/// `mcfpga-obs` recorder the server streams into. [`crate::Server::report`]
-/// then sets, from the server's own ledger, which it keeps whether or not
-/// the recorder is enabled:
-/// - the job outcomes `jobs_submitted` (accepted: the tenants' summed
-///   attempts less their refusals and sheds), `jobs_completed`,
-///   `jobs_failed` and `jobs_expired`, and the lookups `cache_hits` and
-///   `cache_misses`, summed over the tenant rows;
-/// - the refusals `jobs_rejected`, `jobs_malformed` (the tenants' summed
-///   `rejected` less the server's QueueFull/Shutdown count), `jobs_shed`,
-///   `shed_queue_watermark` and `shed_tenant_inflight`, which
-///   [`crate::Server::snapshot`] reads too;
-/// - `queue_depth_hwm` and `tenants`.
-///
-/// The rest needs an enabled recorder and reads 0 (or `None`) without
-/// one: `jobs_expired_in_service`, `cache_near_hits`,
-/// `delta_contexts_reused`, `cache_evictions`, `checkpoints`, `restores`,
-/// `restore_recompiles`, `trace_dropped`, `wait_us` and `service_us`.
+/// [`crate::Server::report`] reads every field from the server's ledger,
+/// which it keeps whether or not its recorder is enabled: each count, the
+/// queue-wait and service distributions (merged over the tenant rows) and
+/// the tenant rows themselves, plus `queue_depth_hwm` from its queue. Only
+/// `trace_dropped` comes from the recorder.
 ///
 /// Outcome conservation: every submission attempt terminates as exactly one
 /// of completed / failed / expired / rejected / shed (or is still in
 /// flight), both globally and inside each [`TenantReport`]'s stats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Jobs accepted into the queue.
     pub jobs_submitted: u64,
@@ -95,34 +82,52 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Condense the `serve.*` metrics out of `rec`. Tenant rows are only
-    /// known to a live server — [`crate::Server::report`] adds them.
+    /// Condense the `serve.*` metrics out of `rec`, summed over every
+    /// server that streams into it: what perfbench reads, and what a
+    /// [`crate::ShardRouter`] built with a shared recorder reads for all
+    /// its shards. Tenant rows are only known to a live server, whose
+    /// [`crate::Server::report`] reads its own ledger instead.
     pub fn from_recorder(rec: &Recorder) -> ServeReport {
         let report = rec.report("serve");
-        ServeReport {
-            jobs_submitted: report.counter("serve.jobs_submitted"),
-            jobs_completed: report.counter("serve.jobs_completed"),
-            jobs_failed: report.counter("serve.jobs_failed"),
-            jobs_expired: report.counter("serve.jobs_expired"),
-            jobs_expired_in_service: report.counter("serve.jobs_expired_in_service"),
-            jobs_rejected: report.counter("serve.jobs_rejected"),
-            jobs_shed: report.counter("serve.shed.total"),
-            shed_queue_watermark: report.counter("serve.shed.queue_watermark"),
-            shed_tenant_inflight: report.counter("serve.shed.tenant_inflight"),
-            cache_hits: report.counter("serve.cache_hits"),
-            cache_misses: report.counter("serve.cache_misses"),
-            cache_near_hits: report.counter("serve.cache.near_hit"),
-            delta_contexts_reused: report.counter("serve.delta.contexts_reused"),
-            cache_evictions: report.counter("serve.cache_evictions"),
-            jobs_malformed: report.counter("serve.jobs_malformed"),
-            checkpoints: report.counter("serve.checkpoints"),
-            restores: report.counter("serve.restores"),
-            restore_recompiles: report.counter("serve.restore.recompiles"),
+        let mut out = ServeReport {
             queue_depth_hwm: report.gauge("serve.queue_depth_hwm").unwrap_or(0.0) as u64,
             trace_dropped: rec.trace_dropped(),
             wait_us: report.histogram("serve.wait_us").cloned(),
             service_us: report.histogram("serve.service_us").cloned(),
-            tenants: Vec::new(),
+            ..ServeReport::default()
+        };
+        for counter in &report.counters {
+            if let Some(count) = out.count_mut(&counter.name) {
+                *count = counter.value;
+            }
         }
+        out
+    }
+
+    /// The count field kept under the `serve.*` counter `name`, if any: the
+    /// one name → field table [`ServeReport::from_recorder`] and the
+    /// server's ledger both read.
+    pub(crate) fn count_mut(&mut self, name: &str) -> Option<&mut u64> {
+        Some(match name {
+            "serve.jobs_submitted" => &mut self.jobs_submitted,
+            "serve.jobs_completed" => &mut self.jobs_completed,
+            "serve.jobs_failed" => &mut self.jobs_failed,
+            "serve.jobs_expired" => &mut self.jobs_expired,
+            "serve.jobs_expired_in_service" => &mut self.jobs_expired_in_service,
+            "serve.jobs_rejected" => &mut self.jobs_rejected,
+            "serve.shed.total" => &mut self.jobs_shed,
+            "serve.shed.queue_watermark" => &mut self.shed_queue_watermark,
+            "serve.shed.tenant_inflight" => &mut self.shed_tenant_inflight,
+            "serve.cache_hits" => &mut self.cache_hits,
+            "serve.cache_misses" => &mut self.cache_misses,
+            "serve.cache.near_hit" => &mut self.cache_near_hits,
+            "serve.delta.contexts_reused" => &mut self.delta_contexts_reused,
+            "serve.cache_evictions" => &mut self.cache_evictions,
+            "serve.jobs_malformed" => &mut self.jobs_malformed,
+            "serve.checkpoints" => &mut self.checkpoints,
+            "serve.restores" => &mut self.restores,
+            "serve.restore.recompiles" => &mut self.restore_recompiles,
+            _ => return None,
+        })
     }
 }

@@ -1,4 +1,4 @@
-//! The worker pool, bounded queue, session table, tenant ledger, and job
+//! The worker pool, bounded queue, session table, ledger, and job
 //! execution.
 //!
 //! Telemetry discipline: the queue-depth gauges are derived from one
@@ -7,8 +7,12 @@
 //! submit and dequeue paths can never publish contradictory depths. An
 //! atomic mirror of the same value serves lock-free snapshot reads.
 //!
-//! Lock ordering: queue → tenants. The tenant table is never locked before
-//! the queue, and no lock is held across a compile or sim step. The
+//! Every job event is recorded by one call on the server's ledger (see the
+//! `tenant` module), which charges the tenant, keeps the server-wide count
+//! and forwards it to the recorder.
+//!
+//! Lock ordering: queue → ledger. The ledger is never locked before the
+//! queue, and no lock is held across a compile or sim step. The
 //! sessions map lock only guards the `SessionId → Arc<Session>` table;
 //! per-session state sits behind each session's own lock, so a checkpoint
 //! of one session never stalls sim jobs on another.
@@ -24,7 +28,7 @@ use mcfpga_netlist::Netlist;
 use mcfpga_obs::Recorder;
 use mcfpga_sim::{CompileError, CompileOptions, DeltaStats, KernelScratch, SimError, LANES};
 
-use crate::admission::{shed_reason, JobKind, ShedReason};
+use crate::admission::{shed_reason, JobKind};
 use crate::cache::DesignCache;
 use crate::config::ServeConfig;
 use crate::design::{CompiledDesign, DesignFingerprint};
@@ -35,8 +39,8 @@ use crate::job::{
 };
 use crate::report::ServeReport;
 use crate::session::{SessionSnapshot, SNAPSHOT_VERSION};
-use crate::snapshot::{HealthSnapshot, RollingLatency, TenantInflight};
-use crate::tenant::{TenantStats, TenantTable, DEFAULT_TENANT};
+use crate::snapshot::{HealthSnapshot, RollingLatency};
+use crate::tenant::{Ledger, TenantStats, DEFAULT_TENANT};
 
 /// Session ids are allocated from one process-global counter, not
 /// per-server, so an id stays meaningful as its session migrates between
@@ -153,13 +157,8 @@ struct ServerInner {
     depth: AtomicUsize,
     depth_hwm: AtomicUsize,
     busy_workers: AtomicUsize,
-    // QueueFull and Shutdown refusals (not malformed ones) and sheds per
-    // reason, kept whether or not the recorder is enabled.
-    rejected: AtomicU64,
-    shed_queue_watermark: AtomicU64,
-    shed_tenant_inflight: AtomicU64,
     n_workers: usize,
-    tenants: TenantTable,
+    ledger: Ledger,
     wait_window: RollingLatency,
     service_window: RollingLatency,
     rec: Recorder,
@@ -277,11 +276,8 @@ impl Server {
             depth: AtomicUsize::new(0),
             depth_hwm: AtomicUsize::new(0),
             busy_workers: AtomicUsize::new(0),
-            rejected: AtomicU64::new(0),
-            shed_queue_watermark: AtomicU64::new(0),
-            shed_tenant_inflight: AtomicU64::new(0),
             n_workers,
-            tenants: TenantTable::default(),
+            ledger: Ledger::new(rec.clone()),
             wait_window: RollingLatency::default(),
             service_window: RollingLatency::default(),
             rec: rec.clone(),
@@ -314,19 +310,15 @@ impl Server {
         let deadline = request.deadline();
         let job = JobId(inner.next_job.fetch_add(1, Ordering::Relaxed));
         let crec = inner.rec.correlated(job.raw(), &tenant);
-        inner.tenants.on_submitted(&tenant);
         if inner.shutdown.load(Ordering::SeqCst) {
-            inner.rejected.fetch_add(1, Ordering::Relaxed);
-            inner.rec.incr("serve.jobs_rejected", 1);
-            inner.tenants.on_rejected(&tenant);
+            inner.ledger.on_rejected(&tenant);
             return Err(SubmitError::Shutdown);
         }
         // Structural validation before the queue lock: a malformed job is
         // refused here, typed, and never reaches a worker. Charged to the
         // tenant's `rejected` bucket so the ledger stays conserved.
         if let Err(reason) = self.validate(&request) {
-            inner.rec.incr("serve.jobs_malformed", 1);
-            inner.tenants.on_rejected(&tenant);
+            inner.ledger.on_malformed(&tenant);
             crec.instant(
                 "job_malformed",
                 &[
@@ -339,9 +331,7 @@ impl Server {
         let mut queue = inner.queue.lock().unwrap();
         if queue.len() >= inner.config.queue_capacity {
             drop(queue);
-            inner.rejected.fetch_add(1, Ordering::Relaxed);
-            inner.rec.incr("serve.jobs_rejected", 1);
-            inner.tenants.on_rejected(&tenant);
+            inner.ledger.on_rejected(&tenant);
             crec.instant(
                 "job_rejected",
                 &[
@@ -354,21 +344,10 @@ impl Server {
             });
         }
         let depth = queue.len();
-        let inflight = inner.tenants.inflight(&tenant);
+        let inflight = inner.ledger.stats(&tenant).map_or(0, |s| s.inflight);
         if let Some(reason) = shed_reason(&inner.config, depth, inflight) {
             drop(queue);
-            let (count, counter) = match reason {
-                ShedReason::QueueWatermark { .. } => {
-                    (&inner.shed_queue_watermark, "serve.shed.queue_watermark")
-                }
-                ShedReason::TenantInflight { .. } => {
-                    (&inner.shed_tenant_inflight, "serve.shed.tenant_inflight")
-                }
-            };
-            count.fetch_add(1, Ordering::Relaxed);
-            inner.rec.incr("serve.shed.total", 1);
-            inner.rec.incr(counter, 1);
-            inner.tenants.on_shed(&tenant);
+            inner.ledger.on_shed(&tenant, &reason);
             crec.instant(
                 "job_shed",
                 &[
@@ -381,7 +360,7 @@ impl Server {
             );
             return Err(SubmitError::Shed { reason });
         }
-        inner.tenants.on_accepted(&tenant, kind);
+        inner.ledger.on_accepted(&tenant, kind);
         let shared = Shared::new();
         queue.push_back(QueuedJob {
             job,
@@ -391,7 +370,6 @@ impl Server {
             enqueued: Instant::now(),
             deadline: deadline.or(inner.config.default_deadline),
         });
-        inner.rec.incr("serve.jobs_submitted", 1);
         let depth = queue.len();
         note_queue_depth(inner, depth);
         drop(queue);
@@ -579,20 +557,15 @@ impl Server {
     /// One tenant's exact counters right now (`None` if the tenant never
     /// submitted). The stats are conserved: see [`TenantStats::is_conserved`].
     pub fn tenant_stats(&self, tenant: &str) -> Option<TenantStats> {
-        self.inner.tenants.stats(tenant)
+        self.inner.ledger.stats(tenant)
     }
 
     /// A point-in-time health view, cheap enough to call on every submit:
-    /// reads atomic mirrors and the tenant/session tables, never the job
-    /// queue lock.
+    /// reads atomic mirrors, one cut of the ledger and the session table,
+    /// never the job queue lock.
     pub fn snapshot(&self) -> HealthSnapshot {
         let inner = &self.inner;
-        let tenant_inflight: Vec<TenantInflight> = inner
-            .tenants
-            .inflight_all()
-            .into_iter()
-            .map(|(tenant, inflight)| TenantInflight { tenant, inflight })
-            .collect();
+        let (tenant_inflight, jobs_shed, jobs_rejected) = inner.ledger.inflight_and_refusals();
         let inflight = tenant_inflight.iter().map(|t| t.inflight).sum();
         let busy = inner.busy_workers.load(Ordering::Relaxed);
         HealthSnapshot {
@@ -611,44 +584,22 @@ impl Server {
             cached_designs: inner.cache.lock().unwrap().len(),
             rolling_wait_p99_us: inner.wait_window.p99(),
             rolling_service_p99_us: inner.service_window.p99(),
-            jobs_shed: inner.shed_queue_watermark.load(Ordering::Relaxed)
-                + inner.shed_tenant_inflight.load(Ordering::Relaxed),
-            jobs_rejected: inner.rejected.load(Ordering::Relaxed),
+            jobs_shed,
+            jobs_rejected,
             trace_dropped: inner.rec.trace_dropped(),
             tenant_inflight,
         }
     }
 
-    /// Snapshot the serving metrics collected so far. Job outcomes, cache
-    /// lookups, refusals, the queue-depth high watermark and the per-tenant
-    /// ledgers are the server's own, read whether or not its recorder is
-    /// enabled; the rest comes from the recorder (see [`ServeReport`]).
+    /// Snapshot the serving metrics collected so far: one cut of the
+    /// server's ledger, kept whether or not its recorder is enabled, with
+    /// the queue's high watermark and the recorder's `trace_dropped`.
     pub fn report(&self) -> ServeReport {
-        let inner = &self.inner;
-        let mut report = ServeReport::from_recorder(&inner.rec);
-        let tenants = inner.tenants.reports();
-        let total = |count: fn(&TenantStats) -> u64| -> u64 {
-            tenants.iter().map(|t| count(&t.stats)).sum()
-        };
-        let rejected = inner.rejected.load(Ordering::Relaxed);
-        // A tenant's `rejected` also files malformed submissions; the
-        // server's own count holds only QueueFull and Shutdown. Attempts
-        // still being decided count as accepted until they are.
-        report.jobs_submitted =
-            total(|s| s.submitted).saturating_sub(total(|s| s.rejected) + total(|s| s.shed));
-        report.jobs_completed = total(|s| s.completed);
-        report.jobs_failed = total(|s| s.failed);
-        report.jobs_expired = total(|s| s.expired);
-        report.cache_hits = total(|s| s.cache_hits);
-        report.cache_misses = total(|s| s.cache_misses);
-        report.jobs_malformed = total(|s| s.rejected).saturating_sub(rejected);
-        report.jobs_rejected = rejected;
-        report.shed_queue_watermark = inner.shed_queue_watermark.load(Ordering::Relaxed);
-        report.shed_tenant_inflight = inner.shed_tenant_inflight.load(Ordering::Relaxed);
-        report.jobs_shed = report.shed_queue_watermark + report.shed_tenant_inflight;
-        report.queue_depth_hwm = inner.depth_hwm.load(Ordering::Relaxed) as u64;
-        report.tenants = tenants;
-        report
+        ServeReport {
+            queue_depth_hwm: self.inner.depth_hwm.load(Ordering::Relaxed) as u64,
+            trace_dropped: self.inner.rec.trace_dropped(),
+            ..self.inner.ledger.report()
+        }
     }
 }
 
@@ -715,8 +666,7 @@ fn worker_loop(inner: &ServerInner) {
         );
         if let Some(deadline) = queued.deadline {
             if waited > deadline {
-                inner.rec.incr("serve.jobs_expired", 1);
-                inner.tenants.on_expired(&queued.tenant, wait_us);
+                inner.ledger.on_expired(&queued.tenant, wait_us);
                 crec.instant(
                     "job_expired",
                     &[
@@ -757,7 +707,7 @@ fn worker_loop(inner: &ServerInner) {
     }
 }
 
-/// Record service latency + outcome counters, charge the tenant, stamp the
+/// Record service latency, count the outcome in the ledger, stamp the
 /// timings into the outcome, and release the waiting client.
 fn finish(
     inner: &ServerInner,
@@ -772,16 +722,14 @@ fn finish(
     inner.service_window.record(service_us as f64);
     let ok = result.is_ok();
     inner
-        .tenants
+        .ledger
         .on_finished(&meta.tenant, meta.kind, ok, wait_us, service_us);
     match result {
         Ok(mut outcome) => {
-            inner.rec.incr("serve.jobs_completed", 1);
             outcome.set_times(wait_us, service_us);
             shared.complete(Ok(outcome));
         }
         Err(e) => {
-            inner.rec.incr("serve.jobs_failed", 1);
             meta.crec.instant(
                 "job_failed",
                 &[
@@ -815,6 +763,10 @@ fn process_compile(
     })
 }
 
+/// How a compile that missed the cache ended: the design, its reuse stats
+/// and the designs its cache insert evicted, or the compile's error.
+pub(crate) type Built = Result<(Arc<CompiledDesign>, DeltaStats, u64), CompileError>;
+
 /// Find the design for one compile request `fp` fingerprints — the single
 /// path compiles and restores share: exact cache hit → delta compile
 /// against a cached near match → cold compile, then insert. Returns the
@@ -836,23 +788,19 @@ fn resolve_design(
 ) -> Result<(Arc<CompiledDesign>, bool, Option<DeltaStats>), ServeError> {
     let key = fp.key();
     let cached = inner.cache.lock().unwrap().get(key);
-    let hit = cached.is_some();
-    inner.tenants.on_cache(&meta.tenant, hit);
-    meta.crec
-        .instant("cache_lookup", &[("hit", hit.into()), ("key", key.into())]);
+    meta.crec.instant(
+        "cache_lookup",
+        &[("hit", cached.is_some().into()), ("key", key.into())],
+    );
     if let Some(design) = cached {
-        inner.rec.incr("serve.cache_hits", 1);
+        inner.ledger.on_cache_hit(&meta.tenant);
         return Ok((design, true, None));
     }
-    inner.rec.incr("serve.cache_misses", 1);
     // On an exact miss, look for a near match: a cached design compiled
     // under the same arch/route options sharing the most per-context
     // netlist hashes. If one exists, only the changed contexts are
     // recompiled; the rest are reused bit-for-bit.
     let near = inner.cache.lock().unwrap().near_match(&fp);
-    if near.is_some() {
-        inner.rec.incr("serve.cache.near_hit", 1);
-    }
     // In-service deadline enforcement: the compile polls this between
     // per-context phases, so a job whose budget lapses mid-service stops
     // instead of burning the worker to the end.
@@ -860,8 +808,18 @@ fn resolve_design(
     let expired = meta.deadline.map(|d| move || enqueued.elapsed() > d);
     let cancel = expired.as_ref().map(|f| f as &(dyn Fn() -> bool + Sync));
     let base = near.as_ref().map(|(base, _)| &**base);
-    let built = CompiledDesign::build(arch, circuits, options, fp, &meta.crec, base, cancel);
-    let (design, stats) = match built {
+    let built = CompiledDesign::build(arch, circuits, options, fp, &meta.crec, base, cancel).map(
+        |(design, stats)| {
+            let design = Arc::new(design);
+            let evicted = inner.cache.lock().unwrap().insert(key, design.clone());
+            (design, stats, evicted)
+        },
+    );
+    // The miss is recorded once its compile ends, in one ledger call.
+    inner
+        .ledger
+        .on_cache_miss(&meta.tenant, near.is_some(), &built);
+    let (design, stats, _) = match built {
         Ok(built) => built,
         Err(CompileError::DeadlineExceeded) => {
             // Serviced-but-expired: distinct from `serve.jobs_expired`
@@ -870,7 +828,6 @@ fn resolve_design(
             // they consumed service time.
             let waited_us = enqueued.elapsed().as_micros() as u64;
             let deadline_us = meta.deadline.map_or(0, |d| d.as_micros() as u64);
-            inner.rec.incr("serve.jobs_expired_in_service", 1);
             meta.crec.instant(
                 "job_expired_in_service",
                 &[
@@ -883,9 +840,6 @@ fn resolve_design(
         Err(e) => return Err(e.into()),
     };
     let delta = near.map(|(base, shared)| {
-        inner
-            .rec
-            .incr("serve.delta.contexts_reused", stats.contexts_reused as u64);
         meta.crec.instant(
             "delta_compile",
             &[
@@ -899,9 +853,6 @@ fn resolve_design(
         );
         stats
     });
-    let design = Arc::new(design);
-    let evicted = inner.cache.lock().unwrap().insert(key, design.clone());
-    inner.rec.incr("serve.cache_evictions", evicted);
     Ok((design, false, delta))
 }
 
@@ -951,8 +902,7 @@ fn process_sim(inner: &ServerInner, job: SimJob, meta: &JobMeta) -> Result<SimOu
     s.active_context = context;
     s.words_stepped += rows.len() as u64;
     s.lane_cycles += cycles;
-    inner.rec.incr("serve.sim_cycles", cycles);
-    inner.tenants.on_sim_cycles(&meta.tenant, cycles);
+    inner.ledger.on_sim_cycles(&meta.tenant, cycles);
     meta.crec.instant(
         "sim_batch",
         &[
@@ -1017,7 +967,7 @@ fn do_checkpoint(
             lane_cycles: state.lane_cycles,
         }
     };
-    inner.rec.incr("serve.checkpoints", 1);
+    inner.ledger.on_checkpoint();
     let crec = inner.rec.correlated(job.raw(), &session.tenant);
     crec.instant(
         "session_checkpoint",
@@ -1092,9 +1042,8 @@ fn do_restore(
         lane_cycles: snapshot.lane_cycles,
     };
     let session = open_session(inner, design.clone(), snapshot.tenant.clone(), state);
-    inner.rec.incr("serve.restores", 1);
+    inner.ledger.on_restore(recompiled);
     if recompiled {
-        inner.rec.incr("serve.restore.recompiles", 1);
         meta.crec.instant(
             "session_restore_recompiled",
             &[

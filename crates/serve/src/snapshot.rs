@@ -2,7 +2,8 @@
 //!
 //! [`crate::Server::snapshot`] assembles a [`HealthSnapshot`] from counters
 //! the hot paths already maintain — atomic queue depth mirror, busy-worker
-//! count, refusal counts, per-tenant inflight gauges — plus the p99 of each
+//! count, and the refusal counts and per-tenant inflight gauges read in one
+//! cut of the server's ledger — plus the p99 of each
 //! [`RollingLatency`] window, computed when the snapshot is taken. Reading
 //! a snapshot never touches the job queue lock, so a health check can poll
 //! it at any rate without stalling submissions.

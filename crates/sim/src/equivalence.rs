@@ -14,7 +14,7 @@
 //! boundaries (all lanes switch together) and every lane replayed against
 //! its own reference state.
 
-use mcfpga_netlist::{Netlist, NetlistError, State};
+use mcfpga_netlist::{Netlist, NetlistError, NodeId, State};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -103,6 +103,13 @@ impl From<SimError> for EquivalenceCheckError {
     }
 }
 
+/// Each reference's topological order, computed once per replay so that a
+/// lock-step cycle only evaluates gates (`None` for a cyclic netlist, which
+/// then fails each step as [`Netlist::step`] does).
+pub(crate) fn reference_orders(references: &[Netlist]) -> Vec<Option<Vec<NodeId>>> {
+    references.iter().map(|r| r.topo_order().ok()).collect()
+}
+
 /// One reference register state per device register file: file `f`
 /// powers on with context `f`'s initial state.
 pub(crate) fn reference_states(device: &MultiDevice, references: &[Netlist]) -> Vec<State> {
@@ -128,6 +135,7 @@ pub fn check_device_equivalence(
     device.reset();
     device.try_switch_context(0)?;
     let mut ref_states = reference_states(device, references);
+    let orders = reference_orders(references);
     let mut context = 0usize;
     for cycle in 0..cycles {
         // Occasionally switch contexts (the defining operation).
@@ -138,8 +146,9 @@ pub fn check_device_equivalence(
         let n_inputs = references[context].inputs().len();
         let inputs: Vec<bool> = (0..n_inputs).map(|_| rng.gen_bool(0.5)).collect();
         let dev_out = device.try_step(&inputs)?;
+        let state = &mut ref_states[device.reg_file[context]];
         let ref_out = references[context]
-            .step(&inputs, &mut ref_states[device.reg_file[context]])
+            .step_in_order(orders[context].as_deref(), &inputs, state)
             .map_err(|error| EquivalenceCheckError::Reference {
                 cycle,
                 context,
@@ -177,6 +186,7 @@ pub fn check_device_equivalence_batch(
         .into_iter()
         .map(|s| vec![s; LANES])
         .collect();
+    let orders = reference_orders(references);
     let mut context = 0usize;
     let mut in_words: Vec<u64> = Vec::new();
     let mut out_words: Vec<u64> = Vec::new();
@@ -197,7 +207,7 @@ pub fn check_device_equivalence_batch(
                 *b = (w >> lane) & 1 == 1;
             }
             let ref_out = references[context]
-                .step(&lane_inputs, ref_state)
+                .step_in_order(orders[context].as_deref(), &lane_inputs, ref_state)
                 .map_err(|error| EquivalenceCheckError::Reference {
                     cycle: word,
                     context,

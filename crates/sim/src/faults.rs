@@ -28,7 +28,7 @@ use mcfpga_netlist::Netlist;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::equivalence::reference_states;
+use crate::equivalence::{reference_orders, reference_states};
 use crate::kernel::{extract_lane, KernelScratch, Operand, LANES};
 use crate::multi::{effective_workers, fan_out, MultiDevice};
 
@@ -128,6 +128,7 @@ pub fn lut_fault_campaign(
         .into_iter()
         .map(|s| vec![s; LANES])
         .collect();
+    let orders = reference_orders(references);
     let mut lane_inputs = Vec::new();
     let expected: Vec<Vec<u64>> = schedule
         .iter()
@@ -138,7 +139,7 @@ pub fn lut_fault_campaign(
             for (lane, state) in states.iter_mut().enumerate() {
                 extract_lane(&step.inputs, lane, &mut lane_inputs);
                 let out = references[step.context]
-                    .step(&lane_inputs, state)
+                    .step_in_order(orders[step.context].as_deref(), &lane_inputs, state)
                     .expect("reference evaluation");
                 if lane == 0 {
                     words = vec![0u64; out.len()];

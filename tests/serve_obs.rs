@@ -9,8 +9,8 @@ use mcfpga_arch::ArchSpec;
 use mcfpga_netlist::{library, Netlist};
 use mcfpga_obs::{job_trace, JobSpan, Recorder, TracePhase};
 use mcfpga_serve::{
-    CompileJob, RestoreJob, ServeConfig, ServeError, Server, SessionId, ShedReason, SimJob,
-    SubmitError, DEFAULT_TENANT, SNAPSHOT_VERSION,
+    CheckpointJob, CompileJob, RestoreJob, ServeConfig, ServeError, ServeReport, Server, SessionId,
+    ShedReason, SimJob, SubmitError, DEFAULT_TENANT, SNAPSHOT_VERSION,
 };
 use mcfpga_sim::CompileOptions;
 
@@ -526,4 +526,135 @@ fn report_counts_jobs_without_a_recorder() {
             report.cache_misses
         )
     );
+}
+
+/// Every count a report carries, in field order.
+fn counts(r: &ServeReport) -> [u64; 18] {
+    [
+        r.jobs_submitted,
+        r.jobs_completed,
+        r.jobs_failed,
+        r.jobs_expired,
+        r.jobs_expired_in_service,
+        r.jobs_rejected,
+        r.jobs_shed,
+        r.shed_queue_watermark,
+        r.shed_tenant_inflight,
+        r.cache_hits,
+        r.cache_misses,
+        r.cache_near_hits,
+        r.delta_contexts_reused,
+        r.cache_evictions,
+        r.jobs_malformed,
+        r.checkpoints,
+        r.restores,
+        r.restore_recompiles,
+    ]
+}
+
+/// One script touching every count on a one-worker server whose cache
+/// holds one design: a cold compile and its exact hit; a variant with one
+/// context changed, which near-hits and evicts; a sim job; a queued and a
+/// synchronous checkpoint; a queued restore that recompiles (near-hitting
+/// and evicting) and a synchronous one that hits; a zero-deadline compile
+/// queued behind a cold compile that evicts; and a malformed sim job.
+fn run_every_count(server: &Server) {
+    let four = vec![
+        library::adder(2),
+        library::parity(3),
+        library::comparator(2),
+        library::gray_encoder(3),
+    ];
+    let mut variant = four.clone();
+    variant[3] = library::popcount(3);
+    let compile = |circuits: Vec<Netlist>| CompileJob::new(arch(), circuits).with_options(serial());
+    let cold = server
+        .submit_compile(compile(four.clone()))
+        .expect("accepted")
+        .wait()
+        .expect("compiles");
+    assert!(!cold.cache_hit);
+    let hit = server
+        .submit_compile(compile(four.clone()))
+        .expect("accepted")
+        .wait()
+        .expect("compiles");
+    assert!(hit.cache_hit);
+    let near = server
+        .submit_compile(compile(variant))
+        .expect("accepted")
+        .wait()
+        .expect("compiles");
+    assert_eq!(near.delta.expect("near hit").contexts_reused, 3);
+    let n_in = cold.design.kernel(0).n_inputs();
+    server
+        .submit_sim(SimJob::new(cold.session, 0, vec![vec![5; n_in]; 4]))
+        .expect("accepted")
+        .wait()
+        .expect("steps");
+    let queued = server
+        .submit_checkpoint(CheckpointJob::new(cold.session))
+        .expect("accepted")
+        .wait()
+        .expect("checkpoints")
+        .snapshot;
+    let synchronous = server.checkpoint_session(hit.session).expect("checkpoints");
+    let recompiled = server
+        .submit_restore(RestoreJob::new(queued))
+        .expect("accepted")
+        .wait()
+        .expect("restores");
+    assert!(recompiled.recompiled);
+    let restored = server.restore_session(synchronous).expect("restores");
+    assert!(!restored.recompiled);
+    let busy = server
+        .submit_compile(compile(vec![library::subtractor(3)]))
+        .expect("accepted");
+    let late = server
+        .submit_compile(compile(four).with_deadline(Duration::ZERO))
+        .expect("accepted");
+    busy.wait().expect("compiles");
+    assert!(matches!(late.wait(), Err(ServeError::Deadline { .. })));
+    let malformed = server.submit_sim(SimJob::new(cold.session, 0, vec![vec![0; n_in + 1]]));
+    assert!(matches!(malformed, Err(SubmitError::Malformed { .. })));
+}
+
+/// `Server::report()` reads every count from the server's own ledger: a
+/// server without a recorder counts what a recorder-backed one counts, the
+/// recorder-backed one agrees with its recorder, and an idle server sharing
+/// that recorder reads none of its neighbour's counts.
+#[test]
+fn every_count_has_one_witness_with_or_without_a_recorder() {
+    let config = ServeConfig::default()
+        .with_workers(1)
+        .with_cache_capacity(1);
+    let plain = Server::new(config.clone());
+    let rec = Recorder::enabled();
+    let traced = Server::with_recorder(config.clone(), &rec);
+    let idle = Server::with_recorder(config, &rec);
+    run_every_count(&plain);
+    run_every_count(&traced);
+
+    // submitted, completed, failed, expired, expired in service, rejected,
+    // shed (total, watermark, in-flight cap), hits, misses, near hits,
+    // reused contexts, evictions, malformed, checkpoints, restores,
+    // restore recompiles.
+    let expected = [8, 7, 0, 1, 0, 0, 0, 0, 0, 2, 4, 2, 6, 3, 1, 2, 2, 1];
+    for server in [&plain, &traced] {
+        let report = server.report();
+        assert_eq!(counts(&report), expected);
+        // Eight jobs left the queue, seven of them through service.
+        assert_eq!(report.wait_us.map(|h| h.count), Some(8));
+        assert_eq!(report.service_us.map(|h| h.count), Some(7));
+        let row = server.tenant_stats(DEFAULT_TENANT).expect("one tenant");
+        assert!(row.is_conserved(), "{row:?}");
+    }
+    let report = traced.report();
+    let streamed = ServeReport::from_recorder(&rec);
+    assert_eq!(counts(&report), counts(&streamed));
+    assert_eq!(
+        (report.wait_us, report.service_us),
+        (streamed.wait_us, streamed.service_us)
+    );
+    assert_eq!(idle.report(), ServeReport::default());
 }
